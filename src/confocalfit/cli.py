@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,7 +26,7 @@ from .regression import (
     restricted_best_fit_flat,
     restricted_pca,
 )
-from .regularize import SEED_ENV_VAR, constrained_fit
+from .regularize import constrained_fit
 from .svg import emit_svg
 
 
@@ -220,8 +219,7 @@ def _pencil_report(ds: Dataset, args) -> dict:
 
 def _regularize_report(ds: Dataset, args) -> dict:
     ps = ds.point_set()
-    seed = int(os.environ.get(SEED_ENV_VAR, "0"))
-    fit = constrained_fit(ps, args.norm, args.bound, seed=seed)
+    fit = constrained_fit(ps, args.norm, args.bound)
     plane = fit.coefficients.hyperplane()
     return {
         "command": "regularize",

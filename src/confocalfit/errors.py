@@ -95,3 +95,9 @@ class NotPlanar(ConfocalFitError):
     """Figure rendering is only available for two-dimensional data."""
 
     code = "not-planar"
+
+
+class L1DimensionTooLarge(ConfocalFitError):
+    """Too many coordinates for the L1 solver's search over all faces."""
+
+    code = "l1-dimension-too-large"

@@ -269,8 +269,9 @@ class FlatSubspace:
 # ---------------------------------------------------------------------------
 
 def centroid(ps: WeightedPointSet) -> np.ndarray:
-    """Mass-weighted mean of the sample."""
-    return (ps.masses[:, None] * ps.coords).sum(axis=0) / ps.total_mass
+    """Mass-weighted mean, summed as offsets from the first point (exact far out)."""
+    ref = ps.coords[0]
+    return ref + ps.masses @ (ps.coords - ref) / ps.total_mass
 
 
 def inertia_operator(ps: WeightedPointSet, origin) -> SymmetricOperator:

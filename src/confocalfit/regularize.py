@@ -1,34 +1,30 @@
 """Ridge- and lasso-type regularization of orthogonal least squares.
 
-Hyperplanes are encoded by their tangential coefficients ``u`` via
-``{x : <u, x> = 1}`` (planes through the origin are unreachable in this
-gauge; shift the data if needed).  The mass-weighted orthogonal residual of
-such a plane,
+A hyperplane ``{x : <u, x> = 1}`` is encoded by its tangential coefficients
+``u`` (planes through the origin are outside this gauge; shift the data if
+needed), and its mass-weighted orthogonal residual
 
-    f(u) = sum_j m_j (<u, r_j> - 1)^2 / ||u||^2,
+    f(u) = sum_j m_j (<u, r_j> - 1)^2 / ||u||^2
 
-is minimized subject to an L1 or L2 bound on ``u``.  The hyperplanes of a
-fixed residual level form a quadric in tangential coordinates; varying the
-level yields a linear pencil dual to the confocal family, which is what
-makes the bound's point of tangency the regularized solution.
+is minimized subject to an L1 or L2 bound on ``u``.  The planes of one
+residual level form a quadric in tangential coordinates, and the levels a
+linear pencil dual to the confocal family.  The regularized plane is where
+the bound's level set touches that pencil; ``constrained_fit`` solves for it.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoEnvelope, ZeroVector
+from .errors import L1DimensionTooLarge, NoEnvelope, ZeroVector
 from .geometry import Hyperplane, WeightedPointSet, _as_vector, centroid, inertia_operator
 from .pencil import ConfocalPencil
 
-SEED_ENV_VAR = "CONFOCAL_FIT_SEED"
-
-_N_STARTS = 16
-_STEP_TOL = 1e-12
-_MAX_ITERS = 2000
+# The L1 solver visits all 3^k - 1 faces of the cube; one call stays below ~1 s.
+L1_MAX_DIM = 10
 
 
 @dataclass(frozen=True)
@@ -121,97 +117,92 @@ def dual_quadric(pencil: ConfocalPencil, j_pi: float) -> DualQuadric:
 
 
 # ---------------------------------------------------------------------------
-# Projections onto norm balls
+# Constrained fits
 # ---------------------------------------------------------------------------
 
-def project_l2_ball(u: np.ndarray, bound: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(u))
-    return u if nrm <= bound else u * (bound / nrm)
+def _reflected_eigh(s: np.ndarray, w: np.ndarray):
+    """Eigensystem of ``S + w w^T`` (batched) in the frame of the Householder
+    reflection ``h`` with ``h w = r e_1``.  There ``w`` only adds ``|w|^2`` to
+    one diagonal entry, so a huge ``w`` (data far from the origin) cannot
+    round ``S`` away.  Returns ``(vals, vecs, h, r)``."""
+    size = np.linalg.norm(w, axis=-1)
+    r = np.where(w[..., 0] < 0, size, -size)
+    u = w.copy()
+    u[..., 0] -= r
+    u /= np.maximum(np.linalg.norm(u, axis=-1, keepdims=True), np.finfo(float).tiny)
+    h = np.eye(w.shape[-1]) - 2.0 * u[..., :, None] * u[..., None, :]
+    a = h @ s @ h
+    a[..., 0, 0] += size**2
+    return *np.linalg.eigh(a), h, r
 
 
-def project_l1_ball(u: np.ndarray, bound: float) -> np.ndarray:
-    """Euclidean projection onto {||u||_1 <= bound} via simplex projection."""
-    if float(np.abs(u).sum()) <= bound:
-        return u
-    w = np.sort(np.abs(u))[::-1]
-    cumulative = np.cumsum(w)
-    idx = np.arange(1, u.size + 1)
-    rho = int(np.max(np.flatnonzero(w - (cumulative - bound) / idx > 0))) + 1
-    theta = (cumulative[rho - 1] - bound) / rho
-    return np.sign(u) * np.maximum(np.abs(u) - theta, 0.0)
+def _ridge_normal(s: np.ndarray, c: np.ndarray, m: float, bound: float) -> np.ndarray:
+    """Unit ``n`` minimizing ``n^T A n - 2 <g, n>``, ``A = S + m c c^T``, ``g = m c / bound``.
 
-
-def _objective_pieces(ps: WeightedPointSet):
-    j0 = inertia_operator(ps, np.zeros(ps.dim)).entries
-    s = (ps.masses[:, None] * ps.coords).sum(axis=0)
-    m = ps.total_mass
-    return j0, s, m
-
-
-def _pgd(j0, s, m, proj, bound, u0) -> tuple[np.ndarray, float]:
-    u = proj(np.asarray(u0, dtype=float), bound)
-    if float(np.linalg.norm(u)) < 1e-14:
-        u = proj(np.full_like(u0, 1e-6), bound)
-
-    def value(v):
-        vv = float(v @ v)
-        return (float(v @ j0 @ v) - 2 * float(v @ s) + m) / vv
-
-    f = value(u)
-    step = 1.0
-    for _ in range(_MAX_ITERS):
-        grad = (2.0 / float(u @ u)) * (j0 @ u - s - f * u)
-        u_new, f_new = u, f
-        while step > 1e-18:
-            cand = proj(u - step * grad, bound)
-            if float(np.linalg.norm(cand)) < 1e-14:
-                step *= 0.5
-                continue
-            f_cand = value(cand)
-            if f_cand < f:
-                u_new, f_new = cand, f_cand
-                break
-            step *= 0.5
-        delta = float(np.linalg.norm(u_new - u))
-        u, f = u_new, f_new
-        step = min(step * 2.0, 1e6)
-        if delta < _STEP_TOL * max(1.0, float(np.linalg.norm(u))):
+    With ``t = L_1 - mu`` for the least eigenvalue ``L_1`` of ``A`` and ``d_i =
+    L_i - L_1``, the stationary point ``(A - mu I) n = g`` has unit length where
+    ``sum_i g~_i^2 / (d_i + t)^2 = 1`` (Gander, Golub and von Matt).  Newton's
+    method on ``1/||n(t)|| - 1``, concave in ``t``, climbs monotonically to the
+    root (More and Sorensen).  In the hard case, ``g~_1 = 0`` and ``||n(0)|| <=
+    1``, the bottom eigenvector makes up the missing length.
+    """
+    vals, vecs, h, r = _reflected_eigh(s, np.sqrt(m) * c)
+    gt = vecs[0] * (np.sqrt(m) * r / bound)  # h g = (sqrt(m) r / bound) e_1
+    live = gt != 0.0
+    gt, d, basis = gt[live], vals[live] - vals[0], vecs[:, live]
+    t = float(np.max(np.abs(gt) - d, initial=0.0))  # ||n(t)|| >= 1 up to here
+    if t == 0.0 and float(np.sum((gt / d) ** 2)) <= 1.0:
+        n = basis @ (gt / d)
+        return h @ (n + np.sqrt(max(0.0, 1.0 - float(n @ n))) * vecs[:, 0])
+    for _ in range(100):
+        q = gt / (d + t)
+        nn = float(q @ q)
+        step = nn * (np.sqrt(nn) - 1.0) / float(q @ (q / (d + t)))
+        if not step > 4 * np.finfo(float).eps * t:
             break
-    return u, f
+        t += step
+    n = basis @ (gt / (d + t))
+    return h @ n / np.linalg.norm(n)
 
 
-def _seed_list(ps: WeightedPointSet, bound: float, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    k = ps.dim
-    seeds: list[np.ndarray] = []
-    c = centroid(ps)
-    op = inertia_operator(ps, c)
-    vals, vecs = np.linalg.eigh(op.entries)
-    # the unconstrained optimum, when representable in this gauge
-    n = vecs[:, 0]
-    p = float(n @ c)
-    if abs(p) > 1e-12:
-        seeds.append(n / p)
-    for i in range(k):
-        for sign in (1.0, -1.0):
-            seeds.append(sign * 0.7 * bound * vecs[:, i] + 1e-3 * rng.normal(size=k))
-    while len(seeds) < _N_STARTS:
-        seeds.append(rng.normal(size=k))
-    return seeds[:_N_STARTS]
+def _lasso_normal(s: np.ndarray, c: np.ndarray, m: float, bound: float) -> np.ndarray:
+    """Unit ``n`` minimizing ``n^T S n + m (<n, c> - ||n||_1 / bound)^2``.
+
+    On the face of the cube with support ``T`` and signs ``sigma`` this is the
+    quadratic form of ``S_TT + m w w^T``, ``w = sigma / bound - c_T``, so the
+    face's one candidate is its bottom eigenvector, kept if its signs match
+    ``sigma``.  One batched ``eigh`` per support size; ties go to the smaller.
+    """
+    k = c.size
+    best, best_n = np.inf, np.zeros(k)
+    for size in range(1, k + 1):
+        supports = np.array(list(itertools.combinations(range(k), size)))
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=size)))
+        t = np.repeat(supports, len(signs), axis=0)
+        sigma = np.tile(signs, (len(supports), 1))
+        w = np.sqrt(m) * (sigma / bound - c[t])
+        vals, vecs, h, _ = _reflected_eigh(s[t[:, :, None], t[:, None, :]], w)
+        v = (h @ vecs[:, :, :1])[:, :, 0] * sigma
+        score = np.where(np.all(v > 0, axis=1) | np.all(v < 0, axis=1), vals[:, 0], np.inf)
+        i = int(np.argmin(score))
+        if score[i] < best:
+            best, best_n = score[i], np.zeros(k)
+            best_n[t[i]] = np.abs(v[i]) * sigma[i]
+    return best_n
 
 
-def constrained_fit(
-    ps: WeightedPointSet,
-    norm: str,
-    bound: float,
-    seed: int | None = None,
-) -> RegularizedFit:
+def constrained_fit(ps: WeightedPointSet, norm: str, bound: float) -> RegularizedFit:
     """Minimize the orthogonal residual subject to ``||u||_norm <= bound``.
 
-    The objective is a ratio of quadratics and not convex, so the solver
-    runs projected gradient descent from 16 deterministic starts (principal
-    directions plus seeded perturbations) and keeps the best outcome.  The
-    seed defaults to the ``CONFOCAL_FIT_SEED`` environment variable.
+    The plane ``{<n, x> = p}`` (unit ``n``, ``u = n/p``) has moment ``n^T S n
+    + m (<n, c> - p)^2`` for the scatter ``S`` about the centroid ``c`` and
+    total mass ``m``, and meets the bound iff ``p >= ||n||_q / bound``.  The
+    bound is inactive if the best plane, through ``c``, meets it; otherwise
+    the optimum touches it, ``p = ||n||_q / bound``.  An L2 bound then leaves
+    a secular equation, an L1 bound one eigenproblem per face of the cube
+    (at most ``L1_MAX_DIM`` coordinates, else ``L1DimensionTooLarge``), and
+    the lasso's ``zero_coordinates`` are the coordinates off the best face.
+    The result is exact to rounding.
     """
     norm = norm.lower()
     if norm not in ("l1", "l2"):
@@ -219,22 +210,26 @@ def constrained_fit(
     bound = float(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
-    proj = project_l1_ball if norm == "l1" else project_l2_ball
-    j0, s, m = _objective_pieces(ps)
-    best: tuple[np.ndarray, float] | None = None
-    for u0 in _seed_list(ps, bound, seed):
-        u, f = _pgd(j0, s, m, proj, bound, u0)
-        if best is None or f < best[1]:
-            best = (u, f)
-    assert best is not None
-    u, f = best
-    norm_val = float(np.abs(u).sum()) if norm == "l1" else float(np.linalg.norm(u))
-    active = abs(norm_val - bound) <= 1e-6 * bound
-    zero_tol = 1e-8 * float(np.abs(u).max())
-    zeros = tuple(int(i) for i in np.flatnonzero(np.abs(u) <= zero_tol))
-    return RegularizedFit(CoefficientVector(u), float(f), norm, bound, active, zeros)
+    if norm == "l1" and ps.dim > L1_MAX_DIM:
+        raise L1DimensionTooLarge(f"L1 bounds take at most {L1_MAX_DIM} coordinates, got {ps.dim}")
+    c = centroid(ps)
+    s = inertia_operator(ps, c).entries
+    m = ps.total_mass
+    n = np.linalg.eigh(s)[1][:, 0]
+    n = n if n @ c >= 0 else -n
+    q = float(np.abs(n).sum()) if norm == "l1" else 1.0
+    active = float(n @ c) < q / bound
+    if not active:
+        p = float(n @ c)
+    elif norm == "l2":
+        n = _ridge_normal(s, c, m, bound)
+        p = 1.0 / bound
+    else:
+        n = _lasso_normal(s, c, m, bound)
+        p = float(np.abs(n).sum()) / bound
+    zeros = tuple(int(i) for i in np.flatnonzero(n == 0.0))
+    moment = float(n @ s @ n) + m * (float(n @ c) - p) ** 2
+    return RegularizedFit(CoefficientVector(n / p), moment, norm, bound, active, zeros)
 
 
 __all__ = [
@@ -244,7 +239,5 @@ __all__ = [
     "moment_of_coefficients",
     "dual_quadric",
     "constrained_fit",
-    "project_l1_ball",
-    "project_l2_ball",
-    "SEED_ENV_VAR",
+    "L1_MAX_DIM",
 ]

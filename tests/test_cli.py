@@ -10,6 +10,7 @@ import pytest
 from confocalfit.cli import UsageError, main, run_command
 from confocalfit.dataset import parse_dataset
 from confocalfit.errors import EmptyDataset, ParseError
+from confocalfit.regularize import L1_MAX_DIM
 from confocalfit.report import load_schema
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -161,14 +162,36 @@ def test_pencil_command_with_jacobi():
     assert principal[1] == pytest.approx(-1.5464, rel=1e-3)
 
 
-def test_regularize_command(monkeypatch):
-    monkeypatch.setenv("CONFOCAL_FIT_SEED", "7")
+def test_regularize_command():
     argv = ["regularize", CELLS, "--cols", "X,Y", "--norm", "l2", "--bound", "0.05"]
     report = run_ok(argv)
     block = report["regularize"]
     assert block["active"] is True
     assert block["moment"] > 0.69605  # tighter than the unconstrained optimum
-    assert run_ok(argv) == report  # seed pinned through the environment
+    assert run_ok(argv) == report
+    # a tiny L1 ball is solved, not refused
+    argv = ["regularize", CELLS, "--cols", "X,Y", "--norm", "l1", "--bound", "0.0001"]
+    block = run_ok(argv)["regularize"]
+    assert sum(abs(x) for x in block["coefficients"]) <= 1e-4 * (1 + 1e-8)
+
+
+def test_regularize_l1_dimension_cap_in_batch(tmp_path):
+    rng = np.random.default_rng(1)
+    k = L1_MAX_DIM + 1
+    wide = tmp_path / "wide.csv"
+    wide.write_text(
+        ",".join(f"x{i}" for i in range(k)) + "\n"
+        + "\n".join(",".join(map(str, row)) for row in rng.normal(size=(3 * k, k)))
+        + "\n"
+    )
+    batch = tmp_path / "list.txt"
+    batch.write_text(f"{wide}\n{FORBES}\n")
+    reports, code = run_command(
+        ["regularize", "--batch", str(batch), "--norm", "l1", "--bound", "0.01"]
+    )
+    assert code == 2
+    assert reports[0]["error"]["code"] == "l1-dimension-too-large"
+    assert reports[1]["regularize"]["active"] is True
 
 
 def test_billiard_command():

@@ -47,6 +47,13 @@ def test_centroid_matches_weighted_mean():
     assert np.allclose(centroid(ps), expected)
 
 
+def test_centroid_far_from_origin():
+    # summing raw coordinates would place this centroid only to ~5e-9
+    x = np.random.default_rng(0).normal(size=(10_000, 3)) + 1e6
+    expected = x[0] + (x - x[0]).mean(axis=0)
+    assert np.abs(centroid(WeightedPointSet(x)) - expected).max() <= 4 * np.spacing(1e6)
+
+
 # ---------------------------------------------------------------------------
 # inertia operator
 # ---------------------------------------------------------------------------

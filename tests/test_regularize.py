@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from confocalfit import (
     CoefficientVector,
@@ -17,10 +15,10 @@ from confocalfit import (
     moment_of_coefficients,
     tangent_hyperplane,
 )
-from confocalfit.errors import NoEnvelope, ZeroVector
-from confocalfit.regularize import project_l1_ball, project_l2_ball
+from confocalfit.errors import L1DimensionTooLarge, NoEnvelope, ZeroVector
+from confocalfit.regularize import L1_MAX_DIM
 
-from conftest import random_point_set
+from conftest import CELLS_XY, FORBES_XY, random_point_set
 
 from test_pencil import sample_point_on_member
 
@@ -50,6 +48,68 @@ def polar_grid_minimum(ps, norm, bound, n_angles=4000, n_radii=200):
     radii = rmax[:, None] * np.geomspace(1e-4, 1.0, n_radii)[None, :]
     values = a[:, None] - 2 * b[:, None] / radii + m / radii**2
     return float(values.min())
+
+
+def centred_pieces(ps):
+    """Centroid and scatter about it, summed as offsets from the first point."""
+    x, w = ps.coords, ps.masses
+    c = x[0] + w @ (x - x[0]) / w.sum()
+    d = x - c
+    return c, (d * w[:, None]).T @ d
+
+
+def sampled_minimum(ps, norm, bound, rng, n_dirs=100_000, starts=3, rounds=50):
+    """Smallest moment over sampled unit normals n, each with its best offset.
+
+    For a unit normal the bound reads p >= ||n||_q / bound, so the best
+    admissible offset is p = max(<n, c>, ||n||_q / bound), scored with the
+    centred scatter.  Dense sampling is followed by a shrinking random local
+    search around each of the best few samples.  Works in any dimension.
+    """
+    c, scatter = centred_pieces(ps)
+    m = ps.total_mass
+
+    def moment(dirs):
+        dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        q = np.abs(dirs).sum(axis=1) if norm == "l1" else 1.0
+        nc = dirs @ c
+        p = np.maximum(nc, q / bound)
+        return np.einsum("ij,jk,ik->i", dirs, scatter, dirs) + m * (nc - p) ** 2
+
+    dirs = rng.normal(size=(n_dirs, ps.dim))
+    values = moment(dirs)
+    found = []
+    for best in dirs[np.argsort(values)[:starts]]:
+        value, radius = float(moment(best[None])[0]), 0.2 * np.linalg.norm(best)
+        for _ in range(rounds):
+            trial = best + radius * rng.normal(size=(1000, ps.dim))
+            # copies with random coordinates zeroed reach the L1 ball's faces
+            sparse = trial * (rng.random(trial.shape) > 0.3)
+            trial = np.vstack([trial, sparse[sparse.any(axis=1)]])
+            trial_values = moment(trial)
+            if trial_values.min() < value:
+                best, value = trial[np.argmin(trial_values)], float(trial_values.min())
+            radius *= 0.6
+        found.append(value)
+    return min(found)
+
+
+def assert_matches_sampled_minimum(ps, norm, bound, rng):
+    """The fit is feasible, its coefficients give its moment, and no sampled
+    plane does better.  The sampled minimum only bounds the true one from
+    above, so the check from below is loose."""
+    fit = constrained_fit(ps, norm, bound)
+    u = fit.coefficients.u
+    size = np.abs(u).sum() if norm == "l1" else np.linalg.norm(u)
+    assert size <= bound * (1 + 1e-12)
+    c, scatter = centred_pieces(ps)
+    n, p = u / np.linalg.norm(u), 1.0 / np.linalg.norm(u)
+    again = n @ scatter @ n + ps.total_mass * (n @ c - p) ** 2
+    assert fit.moment == pytest.approx(again, rel=1e-9)
+    oracle = sampled_minimum(ps, norm, bound, rng)
+    assert fit.moment <= oracle * (1 + 1e-9)
+    assert fit.moment >= oracle * (1 - 1e-4)
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -133,32 +193,6 @@ def test_dual_quadrics_form_linear_pencil():
     diffs = np.vstack([mats[1] - mats[0], mats[2] - mats[0]])
     # differences of members span one direction: the pencil is linear
     assert np.linalg.matrix_rank(diffs, tol=1e-9 * np.abs(diffs).max()) == 1
-
-
-# ---------------------------------------------------------------------------
-# norm-ball projections
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=60, deadline=None)
-@given(
-    vec=st.lists(st.floats(-20, 20, allow_nan=False), min_size=2, max_size=6),
-    bound=st.floats(0.05, 10.0),
-)
-def test_l1_projection_properties(vec, bound):
-    u = np.asarray(vec)
-    proj = project_l1_ball(u, bound)
-    assert np.abs(proj).sum() <= bound * (1 + 1e-9)
-    # projection is idempotent and never farther than any simple candidate
-    again = project_l1_ball(proj, bound)
-    assert np.allclose(proj, again)
-    inside = np.clip(u, -bound / len(u), bound / len(u))
-    assert np.linalg.norm(u - proj) <= np.linalg.norm(u - inside) + 1e-9
-
-
-def test_l2_projection():
-    u = np.array([3.0, 4.0])
-    assert np.allclose(project_l2_ball(u, 10.0), u)
-    assert np.linalg.norm(project_l2_ball(u, 1.0)) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +306,89 @@ def test_active_solution_misses_centroid():
     assert abs(float(plane.signed_distance(c[None, :])[0])) > 1e-6
 
 
-def test_seed_determinism():
-    rng = np.random.default_rng(71)
-    ps = make_2d(rng)
-    a = constrained_fit(ps, "l1", bound=0.5, seed=123)
-    b = constrained_fit(ps, "l1", bound=0.5, seed=123)
-    assert np.array_equal(a.coefficients.u, b.coefficients.u)
-    assert a.moment == b.moment
+@pytest.mark.parametrize(
+    "name, shift, norm, bound",
+    [
+        # tiny L1 balls: the optimum sits on a low face of the cube
+        ("cells", 0.0, "l1", 1e-4),
+        ("cells", 0.0, "l1", 1e-3),
+        ("forbes", 0.0, "l1", 1e-4),
+        ("forbes", 0.0, "l1", 1e-3),
+        # far from the origin: raw second moments would cancel
+        ("cells", 1e3, "l2", 1e-3),
+        ("cells", 1e5, "l2", 1e-3),
+    ],
+)
+def test_worked_sets_match_sampled_oracle(name, shift, norm, bound):
+    ps = WeightedPointSet((CELLS_XY if name == "cells" else FORBES_XY) + shift)
+    assert_matches_sampled_minimum(ps, norm, bound, np.random.default_rng(73))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_constrained_fit_matches_sampled_oracle(k, shift):
+    # far from the origin, bounds just below the unconstrained size keep the
+    # moment at the scale of the spread, where rounding would show
+    rng = np.random.default_rng(75 + k)
+    for trial in range(2):
+        base = random_point_set(rng, k)
+        ps = WeightedPointSet(base.coords + shift, base.masses)
+        ustar = unconstrained_u(ps)
+        for norm in ("l2", "l1"):
+            size = np.linalg.norm(ustar) if norm == "l2" else np.abs(ustar).sum()
+            for frac in (0.9, 0.999) if shift else (0.2, 0.6):
+                fit = assert_matches_sampled_minimum(ps, norm, frac * size, rng)
+                assert fit.active
+
+
+def test_l2_hard_case():
+    # mirror-symmetric data: the centroid is orthogonal to the bottom
+    # eigenvector of S + m c c^T, so large bounds hit the hard case and the
+    # optimum is one of a mirror pair
+    pts = np.array([[1.5, 2.0], [0.5, 3.0], [1.0, 4.5], [0.25, 1.0]])
+    pts = np.vstack([pts, pts * [-1.0, 1.0]])
+    ps = WeightedPointSet(pts)
+    turn = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    rotated = WeightedPointSet(pts @ turn.T)
+    c, s = centred_pieces(ps)
+    m = len(pts)
+    threshold = m * c[1] / (s[1, 1] + m * c[1] ** 2 - s[0, 0])
+    rng = np.random.default_rng(76)
+    for bound in (0.5 * threshold, 2.0 * threshold, 10.0 * threshold):
+        fit = assert_matches_sampled_minimum(ps, "l2", bound, rng)
+        assert fit.active
+        assert np.linalg.norm(fit.coefficients.u) == pytest.approx(bound, rel=1e-12)
+        mirror = CoefficientVector(fit.coefficients.u * [-1.0, 1.0])
+        assert moment_of_coefficients(ps, mirror) == pytest.approx(fit.moment, rel=1e-9)
+        # rotation about the origin preserves the L2 problem
+        assert constrained_fit(rotated, "l2", bound).moment == pytest.approx(
+            fit.moment, rel=1e-9
+        )
+
+
+def test_l1_zero_coordinates_are_off_the_face():
+    # a steep plane z = 5 + 0.4 x + 0.1 y: shrinking the L1 ball zeroes y, then x
+    rng = np.random.default_rng(72)
+    xy = rng.normal(size=(24, 2)) * [3.0, 2.0]
+    z = 5.0 + 0.4 * xy[:, 0] + 0.1 * xy[:, 1] + 0.05 * rng.normal(size=24)
+    ps = WeightedPointSet(np.column_stack([xy, z]))
+    c, s = centred_pieces(ps)
+    for bound, zeros in ((0.2, (1,)), (0.15, (0, 1))):
+        fit = assert_matches_sampled_minimum(ps, "l1", bound, rng)
+        u = fit.coefficients.u
+        assert fit.zero_coordinates == zeros
+        assert tuple(np.flatnonzero(u == 0.0)) == zeros
+        # the moment is the bottom eigenvalue of the face's quadratic form
+        face = np.flatnonzero(u != 0.0)
+        w = np.sign(u[face]) / bound - c[face]
+        form = s[np.ix_(face, face)] + ps.total_mass * np.outer(w, w)
+        assert fit.moment == pytest.approx(np.linalg.eigvalsh(form)[0], rel=1e-9)
+
+
+def test_l1_dimension_cap():
+    rng = np.random.default_rng(77)
+    ps = random_point_set(rng, L1_MAX_DIM + 1)
+    with pytest.raises(L1DimensionTooLarge) as info:
+        constrained_fit(ps, "l1", 1e-3)
+    assert info.value.code == "l1-dimension-too-large"
+    assert constrained_fit(ps, "l2", 1e-3).active
