@@ -314,6 +314,8 @@ def _run(args) -> tuple[dict | list, int]:
                 paths = [line.strip() for line in handle if line.strip()]
         except OSError as exc:
             raise UsageError(f"cannot read batch file: {exc}") from exc
+        # one bad entry costs only its own report; a usage error anywhere
+        # makes the run exit 1, else a domain error makes it exit 2
         reports: list[dict] = []
         code = 0
         for path in paths:
@@ -321,19 +323,22 @@ def _run(args) -> tuple[dict | list, int]:
             try:
                 reports.append(handler(_load(args), args))
             except ConfocalFitError as exc:
-                reports.append(_error_report(args.command, exc))
-                code = 2
+                reports.append(_error_report(args.command, exc.code, exc))
+                code = code or 2
+            except (UsageError, ValueError) as exc:
+                reports.append(_error_report(args.command, "usage-error", exc))
+                code = 1
         return reports, code
     try:
         return handler(_load(args), args), 0
     except ConfocalFitError as exc:
-        return _error_report(args.command, exc), 2
+        return _error_report(args.command, exc.code, exc), 2
 
 
-def _error_report(command: str, exc: ConfocalFitError) -> dict:
+def _error_report(command: str, code: str, exc: Exception) -> dict:
     return {
         "command": command,
-        "error": {"code": exc.code, "message": str(exc)},
+        "error": {"code": code, "message": str(exc)},
         "warnings": [],
     }
 

@@ -54,9 +54,13 @@ def _canonical_sign(v: np.ndarray, tol: float = UNIT_TOL) -> float:
 class WeightedPointSet:
     """N points in R^k with positive masses (defaulting to 1 each).
 
-    ``coords`` is an (N, k) array in sample units.  The set is *full rank*
-    when it does not lie in any hyperplane, measured by the spectrum of the
-    centered inertia operator.
+    ``coords`` is an (N, k) array in sample units.  The set owns its centered
+    spectrum, computed once on first use and read-only: ``center`` (the
+    centroid), ``centered_inertia`` (the inertia operator about it) and
+    ``spectrum`` (that operator's ``symmetric_eigen``).  Every fit, the
+    pencil and the full-rank check read these instead of recomputing them.
+    The set is *full rank* when it does not lie in any hyperplane, measured
+    by ``spectrum``.
     """
 
     coords: np.ndarray
@@ -103,9 +107,24 @@ class WeightedPointSet:
         return bool(np.all(self.masses == 1.0))
 
     @cached_property
+    def center(self) -> np.ndarray:
+        """Mass-weighted mean, summed as offsets from the first point (exact far out)."""
+        ref = self.coords[0]
+        c = ref + self.masses @ (self.coords - ref) / self.total_mass
+        c.setflags(write=False)
+        return c
+
+    @cached_property
+    def centered_inertia(self) -> "SymmetricOperator":
+        return inertia_operator(self, self.center)
+
+    @cached_property
+    def spectrum(self) -> "EigenDecomposition":
+        return symmetric_eigen(self.centered_inertia)
+
+    @cached_property
     def is_full_rank(self) -> bool:
-        centered = inertia_operator(self, centroid(self))
-        vals = np.linalg.eigvalsh(centered.entries)
+        vals = self.spectrum.values
         return bool(vals[0] > RANK_TOL * max(vals[-1], 0.0))
 
     def scale(self) -> float:
@@ -269,9 +288,8 @@ class FlatSubspace:
 # ---------------------------------------------------------------------------
 
 def centroid(ps: WeightedPointSet) -> np.ndarray:
-    """Mass-weighted mean, summed as offsets from the first point (exact far out)."""
-    ref = ps.coords[0]
-    return ref + ps.masses @ (ps.coords - ref) / ps.total_mass
+    """Mass-weighted mean (read-only; cached on the point set)."""
+    return ps.center
 
 
 def inertia_operator(ps: WeightedPointSet, origin) -> SymmetricOperator:

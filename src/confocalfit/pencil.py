@@ -12,8 +12,10 @@ equals ``2 J_1 - m lambda``, which is what makes the pencil the universal
 object behind orthogonal, restricted and directional regression.
 
 The k solutions of ``Q_lambda(x) = 1`` in ``lambda`` are the Jacobi
-coordinates of ``x``; they interlace the poles, which gives guaranteed
-bisection brackets for the root finder used here.
+coordinates of ``x``; they interlace the poles (the roots of a rank-one
+modified eigenproblem, Golub 1973).  The root finder here halves all k
+interlacing brackets together in numpy; the leftmost bracket is
+``[p_min - 2 sum x_i^2, p_min]``, which holds its root in any units.
 """
 
 from __future__ import annotations
@@ -27,10 +29,7 @@ from .geometry import (
     Hyperplane,
     WeightedPointSet,
     _as_vector,
-    centroid,
-    inertia_operator,
     require_full_rank,
-    symmetric_eigen,
 )
 
 # Relative gap below which two principal moments count as equal (the pencil
@@ -41,8 +40,8 @@ GAP_TOL = 1e-8
 # and produces a degenerate Jacobi coordinate (the pole itself).
 COORD_TOL = 1e-9
 
-_BISECT_F_TOL = 1e-13
-_BISECT_W_TOL = 1e-12
+# Halvings of every Jacobi bracket; 2^-64 of a bracket is below rounding.
+_HALVINGS = 64
 
 
 @dataclass(frozen=True)
@@ -182,75 +181,38 @@ class NoSolution:
 def build_pencil(ps: WeightedPointSet) -> ConfocalPencil:
     """Construct the confocal family attached to a full-rank point set."""
     require_full_rank(ps)
-    c = centroid(ps)
-    eig = symmetric_eigen(inertia_operator(ps, c))
-    J = eig.values
+    J = ps.spectrum.values
     if np.any(np.diff(J) <= GAP_TOL * J[-1]):
         raise DegenerateSpectrum("principal moments are not pairwise distinct")
     m = ps.total_mass
     poles = (2 * J[0] - J) / m
-    return ConfocalPencil(c, eig.vectors, J, m, poles)
+    return ConfocalPencil(ps.center, ps.spectrum.vectors, J, m, poles)
 
 
 # ---------------------------------------------------------------------------
-# Jacobi coordinates (secular equation, bisection inside interlacing brackets)
+# Jacobi coordinates (secular equation, joint halving of interlacing brackets)
 # ---------------------------------------------------------------------------
-
-def _secular(x2: np.ndarray, poles: np.ndarray):
-    def f(lam: float) -> float:
-        return float(np.sum(x2 / (poles - lam)) - 1.0)
-
-    return f
-
-
-def _shrink_toward(f, anchor: float, other: float, want_negative: bool) -> float:
-    """Point near ``anchor`` (on the side of ``other``) where f has the wanted sign."""
-    eps = abs(other - anchor) / 4.0
-    for _ in range(200):
-        x = anchor + np.sign(other - anchor) * eps
-        v = f(x)
-        if np.isfinite(v) and ((v < 0) == want_negative):
-            return x
-        eps /= 8.0
-        if anchor + np.sign(other - anchor) * eps == anchor:
-            break
-    return float(np.nextafter(anchor, other))
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    # invariant: f(lo) < 0 < f(hi)
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        width_tol = _BISECT_W_TOL * max(1.0, abs(lo), abs(hi))
-        if abs(fm) < _BISECT_F_TOL or (hi - lo) < width_tol:
-            return mid
-        if fm < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
 
 def _secular_roots(x2: np.ndarray, poles_desc: np.ndarray) -> np.ndarray:
     """All roots of sum_i x2_i/(p_i - lam) = 1 for strictly positive x2.
 
-    The function is strictly increasing between consecutive poles, with one
-    root below the smallest pole and one in each gap.
+    The left side increases strictly between consecutive poles, so there is
+    one root in each open gap (p_(i+1), p_i) and one below the smallest pole,
+    in ``[p_min - 2 sum(x2), p_min]``: at its left end every term is below
+    1/2 whatever the data's units.  All k brackets are halved together a
+    fixed ``_HALVINGS`` times, which takes any bracket down to rounding; a
+    midpoint that rounds onto a pole only ever closes the bracket there.
     """
     asc = poles_desc[::-1]
-    f = _secular(x2, poles_desc)
-    roots = []
-    # leftmost root: guaranteed bracket below the smallest pole
-    lo = float(asc[0] - x2.sum() - 1.0)
-    hi = _shrink_toward(f, float(asc[0]), lo, want_negative=False)
-    roots.append(_bisect(f, lo, hi))
-    for i in range(len(asc) - 1):
-        a, b = float(asc[i]), float(asc[i + 1])
-        lo = _shrink_toward(f, a, b, want_negative=True)
-        hi = _shrink_toward(f, b, a, want_negative=False)
-        roots.append(_bisect(f, lo, hi))
-    return np.array(roots)
+    lo = np.concatenate(([asc[0] - 2.0 * x2.sum()], asc[:-1]))
+    hi = asc
+    with np.errstate(divide="ignore"):
+        for _ in range(_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            below = np.reciprocal(poles_desc - mid[:, None]) @ x2 < 1.0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def jacobi_coordinates(pencil: ConfocalPencil, point) -> JacobiCoordinates:

@@ -108,8 +108,7 @@ def best_fit_flat(ps: WeightedPointSet, ell: int) -> FitResult:
     if not 1 <= ell <= k - 1:
         raise ValueError("flat dimension must satisfy 1 <= l <= k-1")
     require_full_rank(ps)
-    c = centroid(ps)
-    eig = symmetric_eigen(inertia_operator(ps, c))
+    c, eig = ps.center, ps.spectrum
     moment = float(eig.values[: k - ell].sum())
     if ell == k - 1:
         flat: Hyperplane | FlatSubspace = Hyperplane.through(c, eig.vectors[:, 0])
@@ -150,9 +149,8 @@ def restricted_best_fit_flat(
         raise ValueError("flat dimension must satisfy 1 <= l <= k-1")
     p = _as_vector(point, ps.dim, "point")
     res = restricted_pca(ps, p)
-    pencil = build_pencil(ps)
-    J1 = float(pencil.principal_moments[0])
-    m = pencil.mass
+    J1 = float(ps.spectrum.values[0])
+    m = ps.total_mass
     lam = res.lambdas.lambdas
     best_moment = 2 * (k - ell) * J1 - m * float(lam[ell:].sum())
     worst_moment = 2 * (k - ell) * J1 - m * float(lam[: k - ell].sum())
@@ -185,14 +183,12 @@ def directional_fit(ps: WeightedPointSet, w, through=None) -> FitResult:
     if nw == 0.0:
         raise DirectionDegenerate("direction vector is zero")
     w = w / nw
-    c = centroid(ps)
-    anchor = c
+    anchor, op = ps.center, ps.centered_inertia
     if through is not None:
         through = _as_vector(through, ps.dim, "through")
         # anchoring at the centroid itself is the unrestricted problem
-        if np.linalg.norm(through - c) > 1e-12 * ps.scale():
-            anchor = through
-    op = inertia_operator(ps, anchor)
+        if np.linalg.norm(through - anchor) > 1e-12 * ps.scale():
+            anchor, op = through, inertia_operator(ps, through)
     try:
         normal = np.linalg.solve(op.entries, w)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by rank check

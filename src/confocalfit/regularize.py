@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import L1DimensionTooLarge, NoEnvelope, ZeroVector
-from .geometry import Hyperplane, WeightedPointSet, _as_vector, centroid, inertia_operator
+from .geometry import Hyperplane, WeightedPointSet, _as_vector
 from .pencil import ConfocalPencil
 
 # The L1 solver visits all 3^k - 1 faces of the cube; one call stays below ~1 s.
@@ -212,10 +212,9 @@ def constrained_fit(ps: WeightedPointSet, norm: str, bound: float) -> Regularize
         raise ValueError("bound must be positive")
     if norm == "l1" and ps.dim > L1_MAX_DIM:
         raise L1DimensionTooLarge(f"L1 bounds take at most {L1_MAX_DIM} coordinates, got {ps.dim}")
-    c = centroid(ps)
-    s = inertia_operator(ps, c).entries
+    c, s = ps.center, ps.centered_inertia.entries
     m = ps.total_mass
-    n = np.linalg.eigh(s)[1][:, 0]
+    n = ps.spectrum.vectors[:, 0]
     n = n if n @ c >= 0 else -n
     q = float(np.abs(n).sum()) if norm == "l1" else 1.0
     active = float(n @ c) < q / bound

@@ -41,6 +41,11 @@ FORBES_XY = np.array(
 )
 
 
+# Unit changes that the worked examples must survive: every moment and
+# Jacobi coordinate scales by s^2, to rounding.
+SCALES = (1e-6, 1e3)
+
+
 @pytest.fixture
 def cells():
     return WeightedPointSet(CELLS_XY)

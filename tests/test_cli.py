@@ -320,6 +320,28 @@ def test_batch_mode_carries_failures(tmp_path):
     assert "pencil" in reports[0] and reports[1]["error"]["code"] == "rank-deficient"
 
 
+def test_batch_keeps_good_reports_past_a_usage_error(tmp_path, capsys):
+    # cells without --cols is rank deficient (domain error); the k = 4 set
+    # cannot take a two-component --through (usage error); forbes succeeds
+    quad = tmp_path / "quad.csv"
+    rows = np.random.default_rng(2).normal(size=(12, 4))
+    quad.write_text("a,b,c,d\n" + "\n".join(",".join(map(str, r)) for r in rows) + "\n")
+    listing = tmp_path / "list.txt"
+    listing.write_text(f"{CELLS}\n{quad}\n{FORBES}\n")
+    assert main(["fit", "--batch", str(listing), "--through", "0,0"]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    assert [r.get("error", {}).get("code") for r in reports] == [
+        "rank-deficient", "usage-error", None
+    ]
+    assert "4 components" in reports[1]["error"]["message"]
+    assert "fits" in reports[2] and "error" not in reports[2]
+    for report in reports:
+        jsonschema.validate(report, SCHEMA)
+    # an unreadable list is still a usage error for the whole run
+    with pytest.raises(UsageError):
+        run_command(["fit", "--batch", str(tmp_path / "missing.txt")])
+
+
 def test_run_command_rejects_missing_data():
     with pytest.raises(UsageError):
         run_command(["fit"])

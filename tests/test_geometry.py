@@ -11,7 +11,10 @@ from confocalfit import (
     SymmetricOperator,
     WeightedPointSet,
     axial_moment,
+    best_fit_flat,
+    build_pencil,
     centroid,
+    constrained_fit,
     directional_moment,
     hyperplanar_moment,
     inertia_operator,
@@ -366,6 +369,30 @@ def test_symmetric_eigen_reconstruction_and_orthonormality():
         assert np.linalg.norm(sym.entries - recon) <= 1e-10 * max(norm, 1e-300)
         assert np.abs(eig.vectors.T @ eig.vectors - np.eye(4)).max() <= 1e-12
         assert np.all(np.diff(eig.values) >= 0)
+
+
+def test_centered_spectrum_is_formed_once(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(_real.__name__)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    ps = random_point_set(np.random.default_rng(13), 3)
+    assert ps.is_full_rank
+    build_pencil(ps)
+    build_pencil(ps)
+    best_fit_flat(ps, 2)
+    assert not constrained_fit(ps, "l2", 1e12).active
+    assert len(calls) == 1
+    for cached in (
+        ps.center, ps.centered_inertia.entries, ps.spectrum.values, ps.spectrum.vectors
+    ):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
 
 
 def test_symmetric_operator_rejects_asymmetry():

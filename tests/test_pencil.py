@@ -29,7 +29,7 @@ from confocalfit.errors import (
     RankDeficient,
 )
 
-from conftest import random_point_set, random_unit_vector
+from conftest import CELLS_XY, FORBES_XY, SCALES, random_point_set, random_unit_vector
 
 
 def pencil_with_poles(alpha, beta):
@@ -45,6 +45,21 @@ def pencil_with_poles(alpha, beta):
         np.array([[x0, 0.0], [-x0, 0.0], [0.0, y0], [0.0, -y0]])
     )
     return ps, build_pencil(ps)
+
+
+def assert_jacobi_scale_covariant(xy, point, lambdas):
+    """Data and point scaled by s give Jacobi coordinates s^2 * ``lambdas``."""
+    for s in SCALES:
+        pencil = build_pencil(WeightedPointSet(xy * s))
+        p = np.asarray(point) * s
+        jc = jacobi_coordinates(pencil, p)
+        np.testing.assert_allclose(jc.lambdas, s**2 * lambdas, rtol=1e-12, atol=0)
+        # each root to rounding: Newton correction |f/f'| against the poles
+        x2 = pencil.to_principal(p) ** 2
+        for lam in jc.lambdas:
+            f = float(np.sum(x2 / (pencil.poles - lam)) - 1.0)
+            slope = float(np.sum(x2 / (pencil.poles - lam) ** 2))
+            assert abs(f / slope) <= 1e-13 * np.abs(pencil.poles).max()
 
 
 def sample_point_on_member(member, rng):
@@ -155,6 +170,7 @@ def test_jacobi_cells_origin(cells):
     assert jc.lambdas[0] == pytest.approx(-186.907, rel=1e-5)
     assert jc.lambdas[1] == pytest.approx(-0.73589, rel=1e-5)
     assert not jc.degenerate.any()
+    assert_jacobi_scale_covariant(CELLS_XY, [0.0, 0.0], jc.lambdas)
 
 
 def test_jacobi_centroid_is_poles(cells):
@@ -169,6 +185,7 @@ def test_jacobi_forbes_point(forbes):
     jc = jacobi_coordinates(pencil, [201.5, 24.5])
     assert jc.lambdas[0] == pytest.approx(-42.0876, rel=1e-5)
     assert jc.lambdas[1] == pytest.approx(0.007398, rel=1e-3)
+    assert_jacobi_scale_covariant(FORBES_XY, [201.5, 24.5], jc.lambdas)
 
 
 def test_jacobi_interlacing_random():

@@ -26,13 +26,21 @@ from confocalfit import (
 )
 from confocalfit.errors import BadCovariance, BadDegrees, NonUnitMasses, RankDeficient
 
-from conftest import random_point_set, random_unit_vector
+from conftest import CELLS_XY, FORBES_XY, SCALES, random_point_set, random_unit_vector
 
 
 def line_slope_intercept(plane: Hyperplane):
     slope = -plane.normal[0] / plane.normal[1]
     intercept = plane.offset / plane.normal[1]
     return float(slope), float(intercept)
+
+
+def assert_restricted_moments_scale(xy, point, best, worst):
+    """Data and point scaled by s give restricted moments s^2 times these."""
+    for s in SCALES:
+        b, w = restricted_best_fit_flat(WeightedPointSet(xy * s), np.asarray(point) * s, 1)
+        assert b.moment == pytest.approx(s**2 * best.moment, rel=1e-12, abs=0)
+        assert w.moment == pytest.approx(s**2 * worst.moment, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +168,13 @@ def test_restricted_fit_cells_origin(cells):
     slope_w, _ = line_slope_intercept(worst.flat)
     assert slope_w == pytest.approx(-3.331376, rel=2e-4)
     assert worst.moment == pytest.approx(935.9271, rel=1e-5)
+    assert_restricted_moments_scale(CELLS_XY, [0.0, 0.0], best, worst)
 
 
 def test_restricted_fit_forbes_moment(forbes):
-    best, _ = restricted_best_fit_flat(forbes, [201.5, 24.5], 1)
+    best, worst = restricted_best_fit_flat(forbes, [201.5, 24.5], 1)
     assert best.moment == pytest.approx(1.151006, rel=1e-4)
+    assert_restricted_moments_scale(FORBES_XY, [201.5, 24.5], best, worst)
 
 
 def test_restricted_fit_at_centroid_reproduces_unrestricted():
