@@ -127,10 +127,6 @@ class WeightedPointSet:
         vals = self.spectrum.values
         return bool(vals[0] > RANK_TOL * max(vals[-1], 0.0))
 
-    def scale(self) -> float:
-        """Coarse length scale of the sample, used for relative tolerances."""
-        return float(max(1.0, np.abs(self.coords).max()))
-
 
 @dataclass(frozen=True)
 class SymmetricOperator:
@@ -272,15 +268,6 @@ class FlatSubspace:
         inside = diff @ self.basis
         d2 = np.einsum("ij,ij->i", diff, diff) - np.einsum("ij,ij->i", inside, inside)
         return np.sqrt(np.maximum(d2, 0.0))
-
-    def as_hyperplane(self) -> Hyperplane:
-        """Convert a (k-1)-flat to its Hyperplane representation."""
-        k = self.dim
-        if self.flat_dim != k - 1:
-            raise ValueError("only (k-1)-dimensional flats define a hyperplane")
-        q, _ = np.linalg.qr(np.column_stack([self.basis, np.eye(k)]))
-        normal = q[:, k - 1]
-        return Hyperplane.through(self.base_point, normal)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ equals ``2 J_1 - m lambda``, which is what makes the pencil the universal
 object behind orthogonal, restricted and directional regression.
 
 The k solutions of ``Q_lambda(x) = 1`` in ``lambda`` are the Jacobi
-coordinates of ``x``; they interlace the poles (the roots of a rank-one
-modified eigenproblem, Golub 1973).  The root finder here halves all k
-interlacing brackets together in numpy; the leftmost bracket is
-``[p_min - 2 sum x_i^2, p_min]``, which holds its root in any units.
+coordinates of ``x``: the eigenvalues of ``diag(p) - x x^T`` (Golub 1973),
+so the inertia operator at the point has eigenvalues ``2 J_1 - m lambda``
+and, as eigenvectors, the normals there of the members through it.  Each
+root is halved in its interlacing bracket as an offset from the nearer
+pole (``dlaed4``; Bunch, Nielsen & Sorensen 1978; Li 1994), so no
+``p_i - lambda`` cancels, and the normals use ``x`` recomputed from the
+roots (Gu & Eisenstat 1995) to stay orthonormal near the poles.
 """
 
 from __future__ import annotations
@@ -145,18 +148,19 @@ class QuadricMember:
 
 @dataclass(frozen=True)
 class JacobiCoordinates:
-    """Increasing roots of Q_lambda(x) = 1, with degenerate-pole flags."""
+    """Increasing roots of Q_lambda(x) = 1, degenerate-pole flags, and the
+    unit normals of those members at the point (columns, principal frame).
+    """
 
     lambdas: np.ndarray
     degenerate: np.ndarray
+    normals: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=float)
-        deg = np.asarray(self.degenerate, dtype=bool)
-        lam.setflags(write=False)
-        deg.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "degenerate", deg)
+        for name, kind in (("lambdas", float), ("degenerate", bool), ("normals", float)):
+            a = np.asarray(getattr(self, name), dtype=kind)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def largest(self) -> float:
@@ -193,26 +197,40 @@ def build_pencil(ps: WeightedPointSet) -> ConfocalPencil:
 # Jacobi coordinates (secular equation, joint halving of interlacing brackets)
 # ---------------------------------------------------------------------------
 
-def _secular_roots(x2: np.ndarray, poles_desc: np.ndarray) -> np.ndarray:
+def _secular_roots(x2: np.ndarray, poles_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All roots of sum_i x2_i/(p_i - lam) = 1 for strictly positive x2.
 
     The left side increases strictly between consecutive poles, so there is
     one root in each open gap (p_(i+1), p_i) and one below the smallest pole,
     in ``[p_min - 2 sum(x2), p_min]``: at its left end every term is below
-    1/2 whatever the data's units.  All k brackets are halved together a
-    fixed ``_HALVINGS`` times, which takes any bracket down to rounding; a
-    midpoint that rounds onto a pole only ever closes the bracket there.
+    1/2 whatever the data's units.  Each root is sought as an offset from
+    the end pole of its bracket that the midpoint shows to be nearer (the
+    leftmost bracket has only its upper one), halving all k offsets together
+    ``_HALVINGS`` times.  Returns the ascending roots and the (pole, root)
+    differences ``p_i - lam_j``, which do not cancel.
     """
     asc = poles_desc[::-1]
-    lo = np.concatenate(([asc[0] - 2.0 * x2.sum()], asc[:-1]))
-    hi = asc
-    with np.errstate(divide="ignore"):
-        for _ in range(_HALVINGS):
-            mid = 0.5 * (lo + hi)
-            below = np.reciprocal(poles_desc - mid[:, None]) @ x2 < 1.0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    width = np.concatenate(([2.0 * x2.sum()], np.diff(asc)))
+    # as offsets from a pole no bracket rounds away, even if sum(x2) < 1 ulp
+    at_mid = (poles_desc - asc[:, None]) + 0.5 * width[:, None]
+    upper = (np.reciprocal(at_mid) @ x2 < 1.0) | (np.arange(len(asc)) == 0)
+    origin = np.where(upper, asc, np.roll(asc, 1))
+    shifted = poles_desc - origin[:, None]
+    lo, hi = np.where(upper, -width, 0.0), np.where(upper, 0.0, width)
+    for _ in range(_HALVINGS):
+        tau = 0.5 * (lo + hi)
+        below = np.reciprocal(shifted - tau[:, None]) @ x2 < 1.0
+        lo = np.where(below, tau, lo)
+        hi = np.where(below, hi, tau)
+    tau = 0.5 * (lo + hi)
+    # one step of tau = x2_o / (psi - 1) (x2_o: the origin pole's weight, psi:
+    # the other terms) makes tau exact to rounding when it is far below the
+    # bracket width; where x2_o is negligible the clip keeps the halving's tau
+    at_origin = shifted == 0.0
+    psi = np.where(at_origin, 0.0, x2 / (shifted - tau[:, None])).sum(axis=1)
+    with np.errstate(divide="ignore", over="ignore"):
+        tau = np.clip(np.where(at_origin, x2, 0.0).sum(axis=1) / (psi - 1.0), lo, hi)
+    return origin + tau, (shifted - tau[:, None]).T
 
 
 def jacobi_coordinates(pencil: ConfocalPencil, point) -> JacobiCoordinates:
@@ -220,7 +238,9 @@ def jacobi_coordinates(pencil: ConfocalPencil, point) -> JacobiCoordinates:
 
     Principal coordinates smaller than ``COORD_TOL`` times the problem scale
     are treated as exact zeros: the corresponding pole is emitted as a
-    degenerate coordinate and the secular equation is deflated.
+    degenerate coordinate with its principal axis as normal, and the secular
+    equation is deflated.  The other normals are ``x_i/(p_i - lam)`` with
+    ``x`` recomputed from the roots by the Loewner formula.
     """
     x = pencil.to_principal(point)
     # the 1e-6 * |x| term keeps the threshold a few ulps above the rounding
@@ -228,20 +248,23 @@ def jacobi_coordinates(pencil: ConfocalPencil, point) -> JacobiCoordinates:
     # genuinely small coordinates
     scale = max(pencil.focal_scale(), 1e-6 * float(np.linalg.norm(x)), 1e-300)
     zero = np.abs(x) < COORD_TOL * scale
-    values: list[float] = []
-    flags: list[bool] = []
-    for i in np.flatnonzero(zero):
-        values.append(float(pencil.poles[i]))
-        flags.append(True)
-    active = ~zero
-    if np.any(active):
-        roots = _secular_roots(x[active] ** 2, pencil.poles[active])
-        values.extend(float(r) for r in roots)
-        flags.extend([False] * len(roots))
+    k, nz = pencil.dim, int(zero.sum())
+    values, normals = np.empty(k), np.zeros((k, k))
+    values[:nz] = pencil.poles[zero]
+    normals[zero, :nz] = np.eye(nz)
+    if nz < k:
+        poles = pencil.poles[~zero]
+        roots, diff = _secular_roots(x[~zero] ** 2, poles)
+        # x_i^2 = prod_j (p_i - lam_j) / prod_(l != i) (p_i - p_l), pairing
+        # each pole with the root just below it so every ratio is O(1)
+        gaps = poles[:, None] - poles
+        np.fill_diagonal(gaps, 1.0)
+        x_hat = np.copysign(np.sqrt(np.prod(diff[:, ::-1] / gaps, axis=1)), x[~zero])
+        vectors = x_hat[:, None] / diff
+        values[nz:] = roots
+        normals[~zero, nz:] = vectors / np.linalg.norm(vectors, axis=0)
     order = np.argsort(values, kind="stable")
-    return JacobiCoordinates(
-        np.asarray(values)[order], np.asarray(flags, dtype=bool)[order]
-    )
+    return JacobiCoordinates(values[order], (np.arange(k) < nz)[order], normals[:, order])
 
 
 # ---------------------------------------------------------------------------

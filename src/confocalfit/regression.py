@@ -4,8 +4,8 @@ The unrestricted problems reduce to the eigendecomposition of the centered
 inertia operator.  The restricted ones (fits constrained to pass through a
 point P) are solved by the confocal pencil: the best hyperplane through P
 is tangent at P to the member carrying P's largest Jacobi coordinate, and
-the eigenvalues of the inertia operator recentered at P are exactly
-``2 J_1 - m lambda`` over P's Jacobi coordinates.
+the inertia operator recentered at P has eigenvalues ``2 J_1 - m lambda``
+over P's Jacobi coordinates and those members' normals at P as eigenvectors.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from .geometry import (
     SymmetricOperator,
     WeightedPointSet,
     _as_vector,
+    _canonical_sign,
     centroid,
     directional_moment,
-    inertia_operator,
     require_full_rank,
-    symmetric_eigen,
 )
 from .pencil import JacobiCoordinates, build_pencil, jacobi_coordinates
 
@@ -54,8 +53,10 @@ class FitResult:
 class RestrictedPcaResult:
     """Principal directions and moments of the inertia operator at a point.
 
-    ``directions`` holds orthonormal eigenvector columns ordered by
-    ascending moment; ``moments[i] = 2 J_1 - m * lambdas[k-1-i]``.
+    Read off the pencil: ``moments[i] = 2 J_1 - m * lambdas[k-1-i]`` and
+    ``directions[:, i]`` is the matching member normal at the point
+    (``lambdas.normals`` in original coordinates, canonical signs).
+    ``tied`` flags moments within ``TIE_TOL`` of a neighbour.
     """
 
     directions: np.ndarray
@@ -119,18 +120,17 @@ def best_fit_flat(ps: WeightedPointSet, ell: int) -> FitResult:
 
 def restricted_pca(ps: WeightedPointSet, point) -> RestrictedPcaResult:
     """Principal directions/moments of the inertia operator recentered at ``point``."""
-    require_full_rank(ps)
-    p = _as_vector(point, ps.dim, "point")
-    eig = symmetric_eigen(inertia_operator(ps, p))
     pencil = build_pencil(ps)
-    lambdas = jacobi_coordinates(pencil, p)
-    mu = eig.values
+    lambdas = jacobi_coordinates(pencil, point)
+    mu = 2 * pencil.principal_moments[0] - pencil.mass * lambdas.lambdas[::-1]
+    directions = pencil.frame @ lambdas.normals[:, ::-1]
+    directions *= [_canonical_sign(v) for v in directions.T]
     gaps = np.diff(mu)
     tied = np.zeros(ps.dim, dtype=bool)
     close = gaps <= TIE_TOL * max(mu[-1], 1e-300)
     tied[:-1] |= close
     tied[1:] |= close
-    return RestrictedPcaResult(eig.vectors, mu, lambdas, tied)
+    return RestrictedPcaResult(directions, mu, lambdas, tied)
 
 
 def restricted_best_fit_flat(
@@ -183,14 +183,13 @@ def directional_fit(ps: WeightedPointSet, w, through=None) -> FitResult:
     if nw == 0.0:
         raise DirectionDegenerate("direction vector is zero")
     w = w / nw
-    anchor, op = ps.center, ps.centered_inertia
+    anchor, op = ps.center, ps.centered_inertia.entries
     if through is not None:
-        through = _as_vector(through, ps.dim, "through")
-        # anchoring at the centroid itself is the unrestricted problem
-        if np.linalg.norm(through - anchor) > 1e-12 * ps.scale():
-            anchor, op = through, inertia_operator(ps, through)
+        anchor = _as_vector(through, ps.dim, "through")
+        # A(P) = A(c) + m (P - c)(P - c)^T, exact at P = c
+        op = op + ps.total_mass * np.outer(anchor - ps.center, anchor - ps.center)
     try:
-        normal = np.linalg.solve(op.entries, w)
+        normal = np.linalg.solve(op, w)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by rank check
         raise DirectionDegenerate("inertia operator is singular") from exc
     plane = Hyperplane.through(anchor, normal)

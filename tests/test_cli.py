@@ -153,6 +153,15 @@ def test_pca_command():
     assert report["jacobi"]["point_principal"] is not None
 
 
+def test_pca_far_from_the_data_reports_the_pencil_moment():
+    # the smallest moment at (300000, 200000) is 0.808619028292259...
+    # (tests/test_regression.py::test_restricted_pca_far_from_the_data)
+    from confocalfit.report import round_floats
+
+    report = run_ok(["pca", CELLS, "--cols", "X,Y", "--at", "300000,200000"])
+    assert round_floats(report)["pca"]["moments"][0] == 0.808619028
+
+
 def test_pencil_command_with_jacobi():
     report = run_ok(["pencil", FORBES, "--jacobi", "201.5,24.5"])
     assert report["pencil"]["poles"][1] == pytest.approx(-39.69441, rel=1e-3)
@@ -250,6 +259,12 @@ def test_domain_error_exit_code(tmp_path):
     assert code == 2
     assert report["error"]["code"] == "parse-error"
     assert "row 3" in report["error"]["message"]
+
+
+def test_zero_direction_exit_code(capsys):
+    assert main(["directional", FORBES, "--dir", "0,0"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["code"] == "direction-degenerate"
 
 
 def test_rank_deficient_exit_code(tmp_path):

@@ -15,12 +15,16 @@ from confocalfit import (
     build_pencil,
     centroid,
     constrained_fit,
+    directional_fit,
     directional_moment,
     hyperplanar_moment,
     inertia_operator,
     l_planar_moment,
+    restricted_best_fit_flat,
+    restricted_pca,
     symmetric_eigen,
 )
+from confocalfit import geometry
 from confocalfit.errors import DirectionParallel, NotSymmetric
 
 from conftest import gram_moment, random_point_set, random_unit_vector
@@ -371,16 +375,22 @@ def test_symmetric_eigen_reconstruction_and_orthonormality():
         assert np.all(np.diff(eig.values) >= 0)
 
 
-def test_centered_spectrum_is_formed_once(monkeypatch):
+def _record_calls(monkeypatch, *targets):
+    """Names of the calls made to each ``(owner, attribute)`` function."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
+    for owner, name in targets:
+        real = getattr(owner, name)
 
-        def counted(*args, _real=real, **kwargs):
-            calls.append(_real.__name__)
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_centered_spectrum_is_formed_once(monkeypatch):
+    calls = _record_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "eigvalsh"))
     ps = random_point_set(np.random.default_rng(13), 3)
     assert ps.is_full_rank
     build_pencil(ps)
@@ -393,6 +403,26 @@ def test_centered_spectrum_is_formed_once(monkeypatch):
     ):
         with pytest.raises(ValueError):
             cached[0] = 0.0
+
+
+def test_restricted_queries_reuse_the_cached_spectrum(monkeypatch):
+    # once the centred spectrum is cached, queries at a point read the
+    # pencil: no second pass over the N points, no second eigensolver
+    rng = np.random.default_rng(14)
+    ps = random_point_set(rng, 4)
+    build_pencil(ps)
+    point = ps.center + rng.normal(size=4)
+    calls = _record_calls(
+        monkeypatch,
+        (np.linalg, "eigh"),
+        (np.linalg, "eigvalsh"),
+        (geometry, "inertia_operator"),
+    )
+    restricted_pca(ps, point)
+    for ell in range(1, 4):
+        restricted_best_fit_flat(ps, point, ell)
+    directional_fit(ps, rng.normal(size=4), through=point)
+    assert calls == []
 
 
 def test_symmetric_operator_rejects_asymmetry():

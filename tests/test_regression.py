@@ -1,6 +1,8 @@
 """Fits, restricted PCA, directional regression and hypothesis tests."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,6 +157,53 @@ def test_restricted_pca_ties_flagged():
     assert res.tied.all()
 
 
+def test_restricted_pca_far_from_the_data(cells):
+    # Reference: at P = (300000, 200000) the inertia operator A(P) =
+    # sum_j (r_j - P)(r_j - P)^T of the five raw points is summed exactly in
+    # rationals; its smallest eigenvalue 2 det / (tr + sqrt(tr^2 - 4 det))
+    # (no cancellation) at 60 digits is 0.808619028292259227707...  Its
+    # entries are ~5e11, so eigh of a floating-point A(P) is off by ~3e-5.
+    point = (300000, 200000)
+    d = [[Fraction(v) - p for v, p in zip(row, point)] for row in CELLS_XY.tolist()]
+    a, b, c = (sum(u[i] * u[j] for u in d) for i, j in ((0, 0), (0, 1), (1, 1)))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        tr, det = (Decimal(q.numerator) / q.denominator for q in (a + c, a * c - b * b))
+        smallest = 2 * det / (tr + (tr * tr - 4 * det).sqrt())
+    assert abs(float(smallest) / 0.808619028292259 - 1) <= 1e-15
+    res = restricted_pca(cells, [300000.0, 200000.0])
+    assert res.moments[0] == pytest.approx(0.808619028292259, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_restricted_pca_near_a_focal_locus(k, offset):
+    # one principal coordinate of P at 3e-9 focal scales, just above the
+    # deflation threshold: the root sits closer to its pole than the pole's
+    # rounding, so x_i / (p_i - lambda) taken naively is not orthogonal
+    rng = np.random.default_rng(k)
+    base = random_point_set(rng, k, n=40)
+    ps = WeightedPointSet(base.coords + offset, base.masses)
+    pencil = build_pencil(ps)
+    scale = pencil.focal_scale()
+    for i in range(k):
+        x = rng.normal(size=k) * scale
+        x[i] = 3e-9 * scale
+        point = pencil.from_principal(x)
+        res = restricted_pca(ps, point)
+        assert not res.lambdas.degenerate.any()
+        d = res.directions
+        assert np.abs(d.T @ d - np.eye(k)).max() <= 1e-12
+        # eigenvectors of A(P) summed from the points; the centroid is placed
+        # to about eps * offset, which bounds the agreement far out
+        op = inertia_operator(ps, point).entries
+        residual = np.abs(op @ d - d * res.moments).max() / res.moments.max()
+        assert residual <= 1e-13 + 1e-16 * offset
+        for ell in range(1, k):
+            best, worst = restricted_best_fit_flat(ps, point, ell)
+            assert best.moment <= worst.moment
+
+
 # ---------------------------------------------------------------------------
 # restricted best fit
 # ---------------------------------------------------------------------------
@@ -251,6 +300,14 @@ def test_directional_fit_forbes_restricted(forbes):
     assert slope == pytest.approx(0.5141352, rel=1e-6)
     assert intercept == pytest.approx(-79.0982450, rel=1e-6)
     assert fit.moment == pytest.approx(1.455877, rel=1e-6)
+
+
+def test_directional_fit_through_the_centroid_is_the_unrestricted_fit(forbes):
+    free = directional_fit(forbes, [0.0, 1.0])
+    anchored = directional_fit(forbes, [0.0, 1.0], through=forbes.center)
+    assert np.array_equal(anchored.flat.normal, free.flat.normal)
+    assert anchored.flat.offset == free.flat.offset
+    assert anchored.moment == free.moment
 
 
 def test_directional_fit_eigvector_direction_is_orthogonal_fit():
