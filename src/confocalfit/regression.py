@@ -6,6 +6,15 @@ point P) are solved by the confocal pencil: the best hyperplane through P
 is tangent at P to the member carrying P's largest Jacobi coordinate, and
 the inertia operator recentered at P has eigenvalues ``2 J_1 - m lambda``
 over P's Jacobi coordinates and those members' normals at P as eigenvectors.
+
+The point and nested F tests take their p-values from two upper tails
+computed with ``math`` alone (Numerical Recipes §6.2-6.4): the chi-square
+tail Q(a, x) by the series for P when x < a + 1 and otherwise by Lentz's
+continued fraction for Q, and the F tail I_z(a, b) by Lentz's continued
+fraction with the usual symmetry switch, the complement 1 - z taken as an
+exact quotient.  Their log-prefactors are built from Stirling remainders
+and log1p(t) - t (Loader 2000), which stay accurate when the degrees of
+freedom are large, where differences of ``lgamma`` would cancel.
 """
 
 from __future__ import annotations
@@ -14,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, fdtrc
 
 from .errors import (
     BadCovariance,
@@ -93,9 +101,132 @@ def f_upper_tail(x: float, df1: int, df2: float) -> float:
     x = float(x)
     if x <= 0.0:
         return 1.0
+    if math.isnan(x):
+        return math.nan
+    if math.isinf(x):
+        return 0.0
     if math.isinf(df2):
-        return float(chdtrc(df1, df1 * x))
-    return float(fdtrc(df1, df2, x))
+        return _chi2_tail(x, df1)
+    return _f_tail(x, df1, float(df2))
+
+
+# Iteration cap of every series and continued fraction below.  They need
+# O(sqrt(a)) steps near x = a, so this covers degrees of freedom up to ~1e10.
+_MAX_TERMS = 1_000_000
+_EPS = 2.0**-53
+_TINY = 1e-300
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _nonzero(v: float) -> float:
+    """Lentz's guard: a denominator of exactly zero becomes a tiny one."""
+    return v if abs(v) >= _TINY else _TINY
+
+
+def _log1pmx(t: float, r: float) -> float:
+    """log(1 + t) - t, given both t and r = 1 + t without rounding either."""
+    if not -0.5 <= t <= 1.0:
+        return math.log(r) - t
+    # log1p(t) = 2 atanh(v) with v = t / (2 + t); the leading -t v carries
+    # the cancelling t**2 / 2, so no digits are lost as t -> 0
+    v = t / (2.0 + t)
+    v2 = v * v
+    power, total = v2, 0.0
+    for j in range(1, 60):  # |v| <= 1/3: 17 terms reach rounding
+        term = power / (2 * j + 1)
+        total += term
+        if term <= _EPS * total:  # also ends at once when t = 0
+            break
+        power *= v2
+    return -t * v + 2.0 * v * total
+
+
+def _stirling_remainder(a: float) -> float:
+    """lgamma(a) - ((a - 1/2) log a - a + log(2 pi) / 2)."""
+    if a < 15.0:
+        return math.lgamma(a) - (a - 0.5) * math.log(a) + a - _HALF_LOG_2PI
+    r = 1.0 / (a * a)
+    return (1.0 / 12 - r * (1.0 / 360 - r * (1.0 / 1260 - r * (
+        1.0 / 1680 - r * (1.0 / 1188 - r * 691.0 / 360360))))) / a
+
+
+def _chi2_tail(x: float, df1: int) -> float:
+    """P(chi2_{df1} > df1 x) = Q(a, a x) with a = df1 / 2."""
+    a = 0.5 * df1
+    y = a * x
+    t = x - 1.0  # y / a - 1, exact for x >= 1/2
+    # y^a e^-y / Gamma(a), in Stirling form
+    front = math.sqrt(a / (2.0 * math.pi)) * math.exp(
+        a * _log1pmx(t, x) - _stirling_remainder(a)
+    )
+    if y < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        for _ in range(_MAX_TERMS):
+            ap += 1.0
+            term *= y / ap
+            total += term
+            if term <= _EPS * total:
+                break
+        return 1.0 - front * total
+    # Lentz's continued fraction for Q; b starts at y + 1 - a
+    b = a * t + 1.0
+    c, d = 1.0 / _TINY, 1.0 / b
+    h = d
+    for i in range(1, _MAX_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / _nonzero(an * d + b)
+        c = _nonzero(b + an / c)
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= _EPS:
+            break
+    return front * h
+
+
+def _beta_fraction(a: float, b: float, z: float, zc: float) -> float:
+    """Lentz's continued fraction for I_z(a, b) (z below its mean); zc = 1 - z."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    # 1 - (a + b) z / (a + 1), formed from zc so that it does not cancel
+    d = 1.0 / _nonzero((qap * zc - (b - 1.0) * z) / qap)
+    c, h = 1.0, d
+    for m in range(1, _MAX_TERMS):
+        m2 = 2 * m
+        for num in (
+            m * (b - m) * z / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * z / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 / _nonzero(1.0 + num * d)
+            c = _nonzero(1.0 + num / c)
+            step = d * c
+            h *= step
+        if abs(step - 1.0) <= _EPS:
+            break
+    return h
+
+
+def _f_tail(x: float, df1: int, df2: float) -> float:
+    """P(F_{df1, df2} > x) = I_z(df2 / 2, df1 / 2) with z = df2 / (df2 + df1 x)."""
+    a, b = 0.5 * df2, 0.5 * df1
+    w = df1 * x
+    s = df2 + w
+    z, zc = df2 / s, w / s
+    # z^a zc^b / B(a, b) in Stirling form: z and zc sit at 1 + t1 and
+    # 1 + t2 times their means df2 / (df1 + df2) and df1 / (df1 + df2)
+    u = x - 1.0
+    r = (df1 + df2) / s
+    log_front = (
+        a * _log1pmx(-df1 * u / s, r)
+        + b * _log1pmx(df2 * u / s, r * x)
+        + _stirling_remainder(a + b)
+        - _stirling_remainder(a)
+        - _stirling_remainder(b)
+    )
+    front = math.sqrt(a * b / (2.0 * math.pi * (a + b))) * math.exp(log_front)
+    if z < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, z, zc) / a
+    return 1.0 - front * _beta_fraction(b, a, zc, z) / b
 
 
 def best_fit_flat(ps: WeightedPointSet, ell: int) -> FitResult:

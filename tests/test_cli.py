@@ -1,6 +1,11 @@
 """CSV ingestion, CLI commands, JSON reports and their schema."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +18,8 @@ from confocalfit.errors import EmptyDataset, ParseError
 from confocalfit.regularize import L1_MAX_DIM
 from confocalfit.report import load_schema
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 CELLS = str(DATA / "cells.csv")
 FORBES = str(DATA / "forbes.csv")
 
@@ -80,6 +86,20 @@ def test_parse_mass_column(tmp_path):
     f.write_text("x,y,w\n0,0,1\n1,0,-2\n")
     with pytest.raises(ParseError):
         parse_dataset(str(f), mass_col="w")
+
+
+def test_duplicated_header_name_is_a_parse_error(tmp_path):
+    # with --cols the second 'a' used to be read silently; without it the
+    # two copies made the set rank-deficient
+    f = tmp_path / "dup.csv"
+    f.write_text("a,a,b\n1,2,3\n4,5,7\n2,9,1\n")
+    for argv in (["fit", str(f), "--cols", "a,b"], ["fit", str(f)]):
+        report, code = run_command(argv)
+        assert code == 2
+        assert report["error"]["code"] == "parse-error"
+        assert "column 'a' appears more than once" in report["error"]["message"]
+    # a duplicated name that is not selected stays harmless
+    assert parse_dataset(str(f), cols=["b"]).values[:, 0].tolist() == [3, 7, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +380,34 @@ def test_batch_keeps_good_reports_past_a_usage_error(tmp_path, capsys):
 def test_run_command_rejects_missing_data():
     with pytest.raises(UsageError):
         run_command(["fit"])
+
+
+def test_cli_process_runs_without_scipy(tmp_path):
+    # a fresh interpreter runs the README test-point and directional --through
+    # commands; their p-values need no scipy, and the reports match the goldens
+    shutil.copytree(DATA, tmp_path / "data")
+    script = textwrap.dedent(
+        """
+        import sys
+        from confocalfit.cli import main
+
+        codes = [
+            main(["test-point", "data/cells.csv", "--cols", "X,Y", "--at", "0,0",
+                  "--error-cov", "0.25,0,0.25", "--out", "test-point.json"]),
+            main(["directional", "data/forbes.csv", "--dir", "0,1",
+                  "--through", "201.5,24.5", "--out", "directional-through.json"]),
+        ]
+        assert codes == [0, 0], codes
+        loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+        assert not loaded, loaded
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("test-point.json", "directional-through.json"):
+        assert (tmp_path / name).read_bytes() == (ROOT / "tests" / "golden" / name).read_bytes()

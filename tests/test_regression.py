@@ -1,6 +1,7 @@
 """Fits, restricted PCA, directional regression and hypothesis tests."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -387,6 +388,80 @@ def test_f_upper_tail_matches_large_df_limit():
     for x in (0.5, 1.0, 2.5):
         finite = f_upper_tail(x, 3, 10**7)
         assert finite == pytest.approx(f_upper_tail(x, 3, math.inf), abs=1e-6)
+
+
+def _tail_reference(x: float, df1: int, df2: float):
+    """P(F_{df1, df2} > x), or the chi-square limit, at 50 digits (mpmath)."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        x, d1 = mp.mpf(x), mp.mpf(df1)
+        if math.isinf(df2):
+            return mp.gammainc(d1 / 2, d1 * x / 2, mp.inf, regularized=True)
+        d2 = mp.mpf(df2)
+        a, b, z = d2 / 2, d1 / 2, d2 / (d2 + d1 * x)
+        try:
+            return mp.betainc(a, b, 0, z, regularized=True)
+        except mp.libmp.NoConvergence:  # deep tails at large df2: positive-term series
+            series = mp.hyp2f1(a + b, 1, a + 1, z, maxterms=10**6)
+            return z**a * (1 - z) ** b * series / (a * mp.beta(a, b))
+
+
+def _tail_tolerance(df2: float) -> float:
+    if math.isinf(df2) or df2 <= 1e3:
+        return 1e-12
+    return 1e-10 if df2 <= 2e5 else 1e-9
+
+
+def _assert_tail_matches_reference(x, df1, df2):
+    ref = _tail_reference(x, df1, df2)
+    got = f_upper_tail(x, df1, df2)
+    if ref < sys.float_info.min:  # below the normal range: only underflow is checked
+        assert 0.0 <= got < 1e-300, (x, df1, df2, got)
+    else:
+        assert abs(got - ref) <= _tail_tolerance(df2) * ref, (x, df1, df2, got, float(ref))
+    return ref
+
+
+# x = 1 puts the Stirling-form prefactor at t = 0, where a series must stop
+# at once instead of waiting for a term below eps times a zero sum
+@pytest.mark.parametrize("df1", [1, 2, 3, 4, 5, 10, 29, 30, 31, 100, 1000, 10**4, 10**5, 2 * 10**5])
+def test_chi2_tail_matches_a_50_digit_reference(df1):
+    for x in [*np.geomspace(0.1, 5.0, 13), 1.0]:
+        _assert_tail_matches_reference(float(x), df1, math.inf)
+
+
+@pytest.mark.parametrize("df1", [1, 2, 3, 5, 40])
+def test_f_tail_matches_a_50_digit_reference(df1):
+    for df2 in (1, 2, 3, 5, 10, 15, 29, 30, 31, 100, 1000, 1e4, 1e5, 2e5, 1e7):
+        xs = [*np.geomspace(0.01, 100.0, 13), 1.0]
+        if df2 >= 1e5:  # tails of 0.01 ... 0.3, where the prefactor's rounding shows most
+            xs += list(np.linspace(1.2, 6.0, 17))
+        for x in xs:
+            _assert_tail_matches_reference(float(x), df1, df2)
+
+
+def test_deep_tails_match_a_50_digit_reference():
+    def x_at(target, df1, df2):  # bisect f_upper_tail (decreasing in x) in log x
+        lo, hi = 1.0, 1e300
+        for _ in range(400):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if f_upper_tail(mid, df1, df2) > target else (lo, mid)
+        return lo
+
+    for df1 in (1, 2, 5, 40, 1000, 10**5):
+        for df2 in (math.inf, 5, 30, 1000, 1e5):
+            if df1 > 1000 and not math.isinf(df2):
+                continue
+            for target in (1e-20, 1e-100, 1e-200, 1e-300):
+                ref = _assert_tail_matches_reference(x_at(target, df1, df2), df1, df2)
+                assert target / 10 <= ref <= target * 10
+
+
+def test_tails_at_infinity_and_nan():
+    for df1, df2 in ((1, math.inf), (3, math.inf), (1, 15), (4, 1e7)):
+        assert f_upper_tail(math.inf, df1, df2) == 0.0
+        assert math.isnan(f_upper_tail(math.nan, df1, df2))
 
 
 # ---------------------------------------------------------------------------
