@@ -89,8 +89,8 @@ def test_parse_mass_column(tmp_path):
 
 
 def test_duplicated_header_name_is_a_parse_error(tmp_path):
-    # with --cols the second 'a' used to be read silently; without it the
-    # two copies made the set rank-deficient
+    # with --cols, picking either 'a' would be a guess; without it, the two
+    # copies would make the set rank-deficient and hide the real cause
     f = tmp_path / "dup.csv"
     f.write_text("a,a,b\n1,2,3\n4,5,7\n2,9,1\n")
     for argv in (["fit", str(f), "--cols", "a,b"], ["fit", str(f)]):
