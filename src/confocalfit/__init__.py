@@ -4,9 +4,19 @@ A full-rank weighted point cloud in R^k determines a confocal family of
 quadrics.  Its members are the envelopes of equal-residual hyperplanes,
 its Jacobi coordinates solve point-restricted regression and PCA, and its
 tangent lines organize the billiard invariants used as cross-checks.
+
+The linear algebra here works on k x k matrices and O(N k) passes, which
+OpenBLAS's worker threads do not speed up: they cost start-up time and
+make the run time of a command swing when other processes share the
+cores.  So, when numpy is not loaded yet and ``OPENBLAS_NUM_THREADS`` is
+unset, importing the package asks OpenBLAS for one thread.
 """
 
-from .billiards import (
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .billiards import (  # noqa: E402 - after the thread setting
     CausticSet,
     Ray,
     caustics_of_flat,

@@ -411,3 +411,32 @@ def test_cli_process_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     for name in ("test-point.json", "directional-through.json"):
         assert (tmp_path / name).read_bytes() == (ROOT / "tests" / "golden" / name).read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs Linux thread listing and two cores")
+def test_cli_process_runs_on_one_thread():
+    # importing the package before numpy leaves OpenBLAS with one thread, so a
+    # command's run time does not swing with other load on the cores; a
+    # value the caller set is kept
+    script = textwrap.dedent(
+        """
+        import os
+        import confocalfit.cli
+        import numpy as np
+
+        x = np.ones((200_000, 3))
+        x.T @ x
+        print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir("/proc/self/task")))
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    for preset, expected in ((None, "1 1"), ("2", "2 2")):
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == expected.split()
