@@ -16,14 +16,12 @@ from . import report as rp
 from .billiards import Ray, caustics_of_flat, higher_axial_moments, joachimsthal_2d, trajectory
 from .dataset import Dataset, parse_dataset
 from .errors import ConfocalFitError, DegenerateFlat
-from .geometry import SymmetricOperator, centroid
+from .geometry import SymmetricOperator
 from .pencil import build_pencil, jacobi_coordinates
 from .regression import (
-    best_fit_flat,
     directional_fit,
     nested_f_test,
     point_hypothesis_test,
-    restricted_best_fit_flat,
     restricted_pca,
 )
 from .regularize import constrained_fit
@@ -136,14 +134,12 @@ def _fit_report(ds: Dataset, args) -> dict:
         "pencil": rp.pencil_block(pencil),
         "warnings": [],
     }
+    # at the centroid the restricted fits are the unrestricted ones
+    point = ps.center if args.through is None else _vector(args.through, ps.dim, "--through")
+    res = restricted_pca(ps, point)
     if args.through is not None:
-        point = _vector(args.through, ps.dim, "--through")
-        best, worst = restricted_best_fit_flat(ps, point, ell)
-        out["jacobi"] = rp.jacobi_block(pencil, point, jacobi_coordinates(pencil, point))
-    else:
-        best = best_fit_flat(ps, ell)
-        worst = restricted_best_fit_flat(ps, centroid(ps), ell)[1]
-    out["fits"] = [rp.fit_block(best), rp.fit_block(worst)]
+        out["jacobi"] = rp.jacobi_block(pencil, point, res.lambdas)
+    out["fits"] = [rp.fit_block(fit) for fit in res.flats(ell)]
     return out
 
 

@@ -6,6 +6,9 @@ point P) are solved by the confocal pencil: the best hyperplane through P
 is tangent at P to the member carrying P's largest Jacobi coordinate, and
 the inertia operator recentered at P has eigenvalues ``2 J_1 - m lambda``
 over P's Jacobi coordinates and those members' normals at P as eigenvectors.
+One secular solve per point therefore answers every restricted query:
+``restricted_pca(ps, P)`` holds it, and its ``flats(ell)`` gives the best
+and worst l-flats through P for each l.
 
 The point and nested F tests take their p-values from two upper tails
 computed with ``math`` alone (Numerical Recipes §6.2-6.4): the chi-square
@@ -37,8 +40,6 @@ from .geometry import (
     WeightedPointSet,
     _as_vector,
     _canonical_sign,
-    centroid,
-    directional_moment,
     require_full_rank,
 )
 from .pencil import JacobiCoordinates, build_pencil, jacobi_coordinates
@@ -59,7 +60,7 @@ class FitResult:
 
 @dataclass(frozen=True)
 class RestrictedPcaResult:
-    """Principal directions and moments of the inertia operator at a point.
+    """Principal directions and moments of the inertia operator at ``point``.
 
     Read off the pencil: ``moments[i] = 2 J_1 - m * lambdas[k-1-i]`` and
     ``directions[:, i]`` is the matching member normal at the point
@@ -71,12 +72,39 @@ class RestrictedPcaResult:
     moments: np.ndarray
     lambdas: JacobiCoordinates
     tied: np.ndarray
+    point: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("directions", "moments", "tied"):
+        for name in ("directions", "moments", "tied", "point"):
             a = np.asarray(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    def flats(self, ell: int) -> tuple[FitResult, FitResult]:
+        """Best and worst l-flats through ``point``.
+
+        The best flat is spanned by the directions of the l largest moments
+        and its moment is the sum of the k-l smallest; the worst flat is
+        spanned by the l smallest and its moment is the sum of the k-l
+        largest.  For l = k-1 both are returned as Hyperplanes.
+        """
+        k = self.moments.shape[0]
+        if not 1 <= ell <= k - 1:
+            raise ValueError("flat dimension must satisfy 1 <= l <= k-1")
+        if ell == k - 1:
+            best: Hyperplane | FlatSubspace = Hyperplane.through(
+                self.point, self.directions[:, 0]
+            )
+            worst: Hyperplane | FlatSubspace = Hyperplane.through(
+                self.point, self.directions[:, -1]
+            )
+        else:
+            best = FlatSubspace(self.point, self.directions[:, k - ell:])
+            worst = FlatSubspace(self.point, self.directions[:, :ell])
+        return (
+            FitResult(best, float(self.moments[: k - ell].sum()), "best"),
+            FitResult(worst, float(self.moments[ell:].sum()), "worst"),
+        )
 
 
 @dataclass(frozen=True)
@@ -251,8 +279,9 @@ def best_fit_flat(ps: WeightedPointSet, ell: int) -> FitResult:
 
 def restricted_pca(ps: WeightedPointSet, point) -> RestrictedPcaResult:
     """Principal directions/moments of the inertia operator recentered at ``point``."""
+    p = _as_vector(point, ps.dim, "point")
     pencil = build_pencil(ps)
-    lambdas = jacobi_coordinates(pencil, point)
+    lambdas = jacobi_coordinates(pencil, p)
     mu = 2 * pencil.principal_moments[0] - pencil.mass * lambdas.lambdas[::-1]
     directions = pencil.frame @ lambdas.normals[:, ::-1]
     directions *= [_canonical_sign(v) for v in directions.T]
@@ -261,13 +290,13 @@ def restricted_pca(ps: WeightedPointSet, point) -> RestrictedPcaResult:
     close = gaps <= TIE_TOL * max(mu[-1], 1e-300)
     tied[:-1] |= close
     tied[1:] |= close
-    return RestrictedPcaResult(directions, mu, lambdas, tied)
+    return RestrictedPcaResult(directions, mu, lambdas, tied, p)
 
 
 def restricted_best_fit_flat(
     ps: WeightedPointSet, point, ell: int
 ) -> tuple[FitResult, FitResult]:
-    """Best and worst l-flats through a fixed point.
+    """Best and worst l-flats through a fixed point: ``restricted_pca(ps, point).flats(ell)``.
 
     The best flat is the intersection at P of the tangent hyperplanes to the
     members carrying P's largest k-l Jacobi coordinates; equivalently it is
@@ -275,30 +304,7 @@ def restricted_best_fit_flat(
     moments are ``2(k-l) J_1 - m * sum(lambda)`` over the respective index
     sets.
     """
-    k = ps.dim
-    if not 1 <= ell <= k - 1:
-        raise ValueError("flat dimension must satisfy 1 <= l <= k-1")
-    p = _as_vector(point, ps.dim, "point")
-    res = restricted_pca(ps, p)
-    J1 = float(ps.spectrum.values[0])
-    m = ps.total_mass
-    lam = res.lambdas.lambdas
-    best_moment = 2 * (k - ell) * J1 - m * float(lam[ell:].sum())
-    worst_moment = 2 * (k - ell) * J1 - m * float(lam[: k - ell].sum())
-    if ell == k - 1:
-        best_flat: Hyperplane | FlatSubspace = Hyperplane.through(
-            p, res.directions[:, 0]
-        )
-        worst_flat: Hyperplane | FlatSubspace = Hyperplane.through(
-            p, res.directions[:, -1]
-        )
-    else:
-        best_flat = FlatSubspace(p, res.directions[:, k - ell:])
-        worst_flat = FlatSubspace(p, res.directions[:, :ell])
-    return (
-        FitResult(best_flat, best_moment, "best"),
-        FitResult(worst_flat, worst_moment, "worst"),
-    )
+    return restricted_pca(ps, point).flats(ell)
 
 
 def directional_fit(ps: WeightedPointSet, w, through=None) -> FitResult:
@@ -306,7 +312,9 @@ def directional_fit(ps: WeightedPointSet, w, through=None) -> FitResult:
 
     The normal is proportional to ``J^{-1} w`` where J is the inertia
     operator at the anchor (centroid, or ``through`` when given).  The
-    reported moment is the directional moment of the returned hyperplane.
+    reported moment is the directional moment ``n^T J n / (w.n)^2`` of the
+    returned hyperplane, read from the same k x k operator; ``w.n`` is
+    ``w^T J^{-1} w > 0``, so ``w`` never lies in the plane.
     """
     require_full_rank(ps)
     w = _as_vector(w, ps.dim, "direction")
@@ -314,17 +322,21 @@ def directional_fit(ps: WeightedPointSet, w, through=None) -> FitResult:
     if nw == 0.0:
         raise DirectionDegenerate("direction vector is zero")
     w = w / nw
-    anchor, op = ps.center, ps.centered_inertia.entries
+    a_c, m = ps.centered_inertia.entries, ps.total_mass
+    anchor, d = ps.center, np.zeros(ps.dim)
     if through is not None:
         anchor = _as_vector(through, ps.dim, "through")
-        # A(P) = A(c) + m (P - c)(P - c)^T, exact at P = c
-        op = op + ps.total_mass * np.outer(anchor - ps.center, anchor - ps.center)
+        d = anchor - ps.center
     try:
-        normal = np.linalg.solve(op, w)
+        # A(P) = A(c) + m (P - c)(P - c)^T, exact at P = c
+        normal = np.linalg.solve(a_c + m * np.outer(d, d), w)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by rank check
         raise DirectionDegenerate("inertia operator is singular") from exc
-    plane = Hyperplane.through(anchor, normal)
-    return FitResult(plane, directional_moment(ps, plane, w), "best")
+    # n^T A(P) n as two non-negative terms: the summed operator rounds A(c)
+    # away when P is far from c.  The moment is stationary at this normal,
+    # so the solve's rounding enters it only to second order.
+    moment = (normal @ a_c @ normal + m * (d @ normal) ** 2) / (w @ normal) ** 2
+    return FitResult(Hyperplane.through(anchor, normal), float(moment), "best")
 
 
 def _inverse_sqrt(op: SymmetricOperator) -> np.ndarray:
@@ -352,7 +364,7 @@ def point_hypothesis_test(
     white = _inverse_sqrt(error_cov)
     ps_w = WeightedPointSet(ps.coords @ white, ps.masses)
     pencil_w = build_pencil(ps_w)
-    lam_c = jacobi_coordinates(pencil_w, white @ centroid(ps)).largest
+    lam_c = float(pencil_w.poles[0])  # the centroid's largest Jacobi coordinate, J_1/m
     lam_p = jacobi_coordinates(pencil_w, white @ p).largest
     n, k = ps.n_points, ps.dim
     df1 = n - k + 1

@@ -6,6 +6,7 @@ import pytest
 from confocalfit import (
     FlatSubspace,
     Ray,
+    WeightedPointSet,
     axial_moment,
     build_pencil,
     caustics_of_flat,
@@ -25,7 +26,7 @@ from confocalfit.errors import (
     NotEllipsoidType,
 )
 
-from conftest import random_point_set, random_unit_vector
+from conftest import CELLS_XY, random_point_set, random_unit_vector
 
 from test_pencil import pencil_with_poles, sample_point_on_member
 
@@ -375,6 +376,23 @@ def test_trajectory_3d_conserves_caustics_and_higher_moments():
         assert np.allclose(
             higher_axial_moments(pencil, ray), base_moments, rtol=1e-8
         )
+
+
+def test_trajectory_far_from_the_origin_keeps_its_caustic():
+    # the README billiard on the cells data moved by +1e6; the state stays in
+    # the principal frame, so the offset's rounding does not build up
+    ps = WeightedPointSet(CELLS_XY + 1e6)
+    pencil = build_pencil(ps)
+    member = pencil.member(-20.0)
+    rays = trajectory(member, Ray(np.array([12.7, 3.6]) + 1e6, [0.6, 0.8]), 20_000)
+    values = [
+        joachimsthal_2d(
+            member.semiaxes_sq,
+            Ray(pencil.to_principal(r.point), pencil.frame.T @ r.direction),
+        )[0]
+        for r in rays
+    ]
+    assert np.ptp(values) <= 1e-10 * abs(values[0])
 
 
 def test_trajectory_rejects_non_ellipsoid_members():

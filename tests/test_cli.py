@@ -12,11 +12,14 @@ import jsonschema
 import numpy as np
 import pytest
 
+from confocalfit import pencil
 from confocalfit.cli import UsageError, main, run_command
 from confocalfit.dataset import parse_dataset
 from confocalfit.errors import EmptyDataset, ParseError
 from confocalfit.regularize import L1_MAX_DIM
 from confocalfit.report import load_schema
+
+from test_geometry import _record_calls
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -102,6 +105,35 @@ def test_duplicated_header_name_is_a_parse_error(tmp_path):
     assert parse_dataset(str(f), cols=["b"]).values[:, 0].tolist() == [3, 7, 1]
 
 
+def _unreadable_csvs(tmp_path):
+    """A cell past the csv field limit, and a byte that is not UTF-8."""
+    huge = tmp_path / "huge.csv"
+    huge.write_text("X,Y\n1,2\n3," + "4" * 200_000 + "\n5,7\n")
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"X,Y\n1,2\n3,\xff4\n5,7\n")
+    return huge, latin
+
+
+def test_unreadable_csv_is_a_parse_error(tmp_path, capsys):
+    for path, detail in zip(_unreadable_csvs(tmp_path), ("field limit", "utf-8")):
+        assert main(["fit", str(path)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["code"] == "parse-error" and detail in error["message"]
+
+
+def test_batch_keeps_good_reports_past_an_unreadable_csv(tmp_path, capsys):
+    huge, latin = _unreadable_csvs(tmp_path)
+    listing = tmp_path / "list.txt"
+    listing.write_text(f"{FORBES}\n{huge}\n{latin}\n{FORBES}\n")
+    assert main(["pencil", "--batch", str(listing)]) == 2
+    reports = json.loads(capsys.readouterr().out)
+    assert [r.get("error", {}).get("code") for r in reports] == [
+        None, "parse-error", "parse-error", None
+    ]
+    for report in reports:
+        jsonschema.validate(report, SCHEMA)
+
+
 # ---------------------------------------------------------------------------
 # commands against the worked examples
 # ---------------------------------------------------------------------------
@@ -137,6 +169,22 @@ def test_fit_through_centroid_equals_unrestricted(tmp_path):
     assert plain["fits"][0]["moment"] == pytest.approx(
         through["fits"][0]["moment"], rel=1e-9
     )
+
+
+def test_each_point_is_solved_once(monkeypatch):
+    holders = [
+        (module, "jacobi_coordinates")
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "confocalfit"
+        and getattr(module, "jacobi_coordinates", None) is pencil.jacobi_coordinates
+    ]
+    calls = _record_calls(monkeypatch, *holders)
+    run_ok(["fit", CELLS, "--cols", "X,Y", "--through", "0,0"])
+    assert len(calls) == 1
+    calls.clear()
+    # once in the whitened frame for the statistic, once for the jacobi block
+    run_ok(["test-point", CELLS, "--cols", "X,Y", "--at", "0,0", "--error-cov", "0.25,0,0.25"])
+    assert len(calls) == 2
 
 
 def test_test_point_cells():

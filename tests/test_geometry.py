@@ -20,6 +20,7 @@ from confocalfit import (
     hyperplanar_moment,
     inertia_operator,
     l_planar_moment,
+    nested_f_test,
     restricted_best_fit_flat,
     restricted_pca,
     symmetric_eigen,
@@ -407,7 +408,8 @@ def test_centered_spectrum_is_formed_once(monkeypatch):
 
 def test_restricted_queries_reuse_the_cached_spectrum(monkeypatch):
     # once the centred spectrum is cached, queries at a point read the
-    # pencil: no second pass over the N points, no second eigensolver
+    # pencil and the cached operator: no second pass over the N points, no
+    # second eigensolver
     rng = np.random.default_rng(14)
     ps = random_point_set(rng, 4)
     build_pencil(ps)
@@ -417,11 +419,14 @@ def test_restricted_queries_reuse_the_cached_spectrum(monkeypatch):
         (np.linalg, "eigh"),
         (np.linalg, "eigvalsh"),
         (geometry, "inertia_operator"),
+        (geometry, "hyperplanar_moment"),
     )
     restricted_pca(ps, point)
     for ell in range(1, 4):
         restricted_best_fit_flat(ps, point, ell)
-    directional_fit(ps, rng.normal(size=4), through=point)
+    w = rng.normal(size=4)
+    directional_fit(ps, w, through=point)
+    nested_f_test(ps, w, point)
     assert calls == []
 
 

@@ -2,8 +2,10 @@
 
 Each command runs through ``main`` in a scratch directory holding a copy of
 ``data/``, so the dataset paths in the reports read as in the README.  The
-``plot`` command also writes its SVG, which is compared too.  When a change
-moves a digit on purpose, regenerate the files with
+``plot`` command also writes its SVG, which is compared too, and the printed
+output of ``scripts/run_worked_examples.py`` is pinned as
+``worked_examples.txt``.  When a change moves a digit on purpose, regenerate
+the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,6 +15,8 @@ and list the moved digit, with a high-precision reference, in CHANGES.md.
 import contextlib
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,10 +77,21 @@ def _render(name: str, workdir: Path) -> dict[str, bytes]:
     return {f"{name}.json": (workdir / "report.json").read_bytes()}
 
 
+def _worked_examples() -> bytes:
+    script = ROOT / "scripts" / "run_worked_examples.py"
+    return subprocess.run(
+        [sys.executable, str(script)], capture_output=True, check=True, timeout=120
+    ).stdout
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_readme_command_matches_golden(name, tmp_path):
     for filename, produced in _render(name, tmp_path).items():
         assert produced == (GOLDEN / filename).read_bytes(), filename
+
+
+def test_worked_examples_match_golden():
+    assert _worked_examples() == (GOLDEN / "worked_examples.txt").read_bytes()
 
 
 if __name__ == "__main__":
@@ -88,3 +103,5 @@ if __name__ == "__main__":
             for filename, produced in _render(command, Path(scratch)).items():
                 (GOLDEN / filename).write_bytes(produced)
                 print(filename)
+    (GOLDEN / "worked_examples.txt").write_bytes(_worked_examples())
+    print("worked_examples.txt")

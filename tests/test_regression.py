@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from confocalfit import (
+    FlatSubspace,
     Hyperplane,
     SymmetricOperator,
     WeightedPointSet,
@@ -256,6 +257,38 @@ def test_restricted_fit_moment_identities():
         )
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_restricted_flats_for_every_ell_from_one_solve(k, offset):
+    # the oracle sums squared distances on the set moved back by the offset,
+    # so that it does not cancel itself; the centroid is placed to about
+    # eps * offset, which bounds the agreement far out
+    rng = np.random.default_rng(60 + k)
+    base = random_point_set(rng, k, n=40)
+    ps = WeightedPointSet(base.coords + offset, base.masses)
+    local = WeightedPointSet(ps.coords - offset, ps.masses)
+    pencil = build_pencil(ps)
+    J1, m = float(pencil.principal_moments[0]), pencil.mass
+    point = pencil.from_principal(rng.normal(size=k) * pencil.focal_scale())
+    res = restricted_pca(ps, point)
+    lam = res.lambdas.lambdas
+    for ell in range(1, k):
+        jacobi_sums = (
+            2 * (k - ell) * J1 - m * lam[ell:].sum(),
+            2 * (k - ell) * J1 - m * lam[: k - ell].sum(),
+        )
+        for fit, role, jacobi_sum in zip(res.flats(ell), ("best", "worst"), jacobi_sums):
+            assert fit.role == role
+            assert isinstance(fit.flat, Hyperplane) == (ell == k - 1)
+            flat = fit.flat.as_flat() if isinstance(fit.flat, Hyperplane) else fit.flat
+            oracle = l_planar_moment(local, FlatSubspace(point - offset, flat.basis))
+            assert fit.moment == pytest.approx(oracle, rel=1e-12 + 1e-16 * offset, abs=0)
+            assert fit.moment == pytest.approx(jacobi_sum, rel=1e-12, abs=0)
+    for ell in (0, k):
+        with pytest.raises(ValueError):
+            res.flats(ell)
+
+
 def test_restricted_best_hyperplane_is_tangent_to_top_member():
     rng = np.random.default_rng(47)
     ps = random_point_set(rng, 3)
@@ -332,6 +365,22 @@ def test_directional_fit_minimizes_directional_moment():
             if abs(plane.normal @ w) < 1e-3:
                 continue
             assert fit.moment <= directional_moment(ps, plane, w) * (1 + 1e-10)
+
+
+def test_directional_fit_moment_matches_the_points():
+    # the moment is read from A(c) and m (d.n)^2 kept apart; summed into A(P)
+    # first, A(c) would round away for P far from the centroid
+    rng = np.random.default_rng(57)
+    for k in (2, 3, 5):
+        ps = random_point_set(rng, k)
+        w = random_unit_vector(rng, k)
+        for distance in (None, 0.01, 1.0, 1e2, 1e4):
+            through = None
+            if distance is not None:
+                through = centroid(ps) + distance * random_unit_vector(rng, k)
+            fit = directional_fit(ps, w, through=through)
+            oracle = directional_moment(ps, fit.flat, w)
+            assert fit.moment == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
 def test_directional_fit_vertical_matches_least_squares_formulas():
