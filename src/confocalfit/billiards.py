@@ -22,7 +22,7 @@ from .errors import (
     NoIntersection,
     NotEllipsoidType,
 )
-from .geometry import FlatSubspace, _as_vector
+from .geometry import FlatSubspace, _as_vector, _store
 from .pencil import ConfocalPencil, QuadricMember, tangent_moment
 
 _ESCAPE_T = 1e-10
@@ -36,16 +36,12 @@ class Ray:
     direction: np.ndarray
 
     def __post_init__(self) -> None:
-        p = _as_vector(self.point, name="point").copy()
+        p = _store(self, "point", _as_vector(self.point, name="point"))
         d = _as_vector(self.direction, len(p), "direction")
         nrm = float(np.linalg.norm(d))
         if nrm == 0.0:
             raise ValueError("ray direction must be nonzero")
-        d = d / nrm
-        p.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "point", p)
-        object.__setattr__(self, "direction", d)
+        _store(self, "direction", d / nrm)
 
     def line(self) -> FlatSubspace:
         return FlatSubspace(self.point, self.direction[:, None])
@@ -58,9 +54,7 @@ class CausticSet:
     lambdas: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=float)
-        lam.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
+        _store(self, "lambdas", self.lambdas)
 
 
 def _complement_basis(v: np.ndarray) -> np.ndarray:

@@ -28,6 +28,11 @@ from .regularize import constrained_fit
 from .svg import emit_svg
 
 
+# Every ray of a billiard run is kept and written out (about 2 KB of memory
+# and 170 bytes of JSON per bounce), so ``--bounces`` is capped.
+MAX_BOUNCES = 100_000
+
+
 class UsageError(Exception):
     pass
 
@@ -235,6 +240,8 @@ def _regularize_report(ds: Dataset, args) -> dict:
 
 
 def _billiard_report(ds: Dataset, args) -> dict:
+    if args.bounces > MAX_BOUNCES:
+        raise UsageError(f"--bounces: at most {MAX_BOUNCES}, got {args.bounces}")
     ps = ds.point_set()
     pencil = build_pencil(ps)
     member = pencil.member(args.member)

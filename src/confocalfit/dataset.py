@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDataset, ParseError
-from .geometry import WeightedPointSet
+from .geometry import WeightedPointSet, _store
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,9 @@ class Dataset:
     path: str
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _store(self, "values", self.values)
         if self.masses is not None:
-            m = np.asarray(self.masses, dtype=float)
-            m.setflags(write=False)
-            object.__setattr__(self, "masses", m)
+            _store(self, "masses", self.masses)
 
     @property
     def n_rows(self) -> int:

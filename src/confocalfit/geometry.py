@@ -7,6 +7,11 @@ hyperplane through ``O`` with unit normal ``n`` is ``n^T A(O) n``, and the
 moment of an l-dimensional flat is the trace of ``A`` over the orthogonal
 complement of the flat.  Everything here is a pure function over immutable
 values; nothing mutates shared state.
+
+Every value owns read-only arrays, set through ``_store``: an input that is
+read-only and views only read-only memory is shared; any other input is
+copied, so no array a caller passes in is ever frozen, and no array the
+caller can still write to is kept.
 """
 
 from __future__ import annotations
@@ -42,6 +47,25 @@ def _as_vector(x, k: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _store(obj, name: str, value, dtype=float) -> np.ndarray:
+    """Set the field ``name`` of a frozen value to a read-only array of ``value``.
+
+    A read-only array of the right dtype whose base array, if any, is
+    read-only too is kept as it is; anything else is copied and the copy
+    frozen.  Never freeze an array in place here: it may be the caller's.
+    """
+    if not (
+        isinstance(value, np.ndarray)
+        and value.dtype == dtype
+        and not value.flags.writeable
+        and not (isinstance(value.base, np.ndarray) and value.base.flags.writeable)
+    ):
+        value = np.array(value, dtype=dtype)
+        value.setflags(write=False)
+    object.__setattr__(obj, name, value)
+    return value
+
+
 def _canonical_sign(v: np.ndarray, tol: float = UNIT_TOL) -> float:
     """Sign that makes the first non-negligible component of ``v`` positive."""
     for x in v:
@@ -67,7 +91,7 @@ class WeightedPointSet:
     masses: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        coords = np.array(self.coords, dtype=float)
+        coords = _store(self, "coords", self.coords)
         if coords.ndim != 2:
             raise ValueError("coords must be an (N, k) array")
         n, k = coords.shape
@@ -77,18 +101,11 @@ class WeightedPointSet:
             raise ValueError("ambient dimension must be at least 2")
         if not np.all(np.isfinite(coords)):
             raise ValueError("coords contain non-finite entries")
-        masses = self.masses
-        if masses is None:
-            masses = np.ones(n)
-        masses = np.array(masses, dtype=float)
+        masses = _store(self, "masses", np.ones(n) if self.masses is None else self.masses)
         if masses.shape != (n,):
             raise ValueError("masses must be a length-N vector")
         if not np.all(np.isfinite(masses)) or np.any(masses <= 0):
             raise ValueError("masses must be positive and finite")
-        coords.setflags(write=False)
-        masses.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "masses", masses)
 
     @property
     def n_points(self) -> int:
@@ -135,15 +152,13 @@ class SymmetricOperator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=float)
+        a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("entries must be a square matrix")
         scale = max(1.0, float(np.abs(a).max()))
         if np.abs(a - a.T).max() > SYMMETRY_TOL * scale:
             raise NotSymmetric("operator is not symmetric within tolerance")
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+        _store(self, "entries", 0.5 * (a + a.T))
 
     @property
     def dim(self) -> int:
@@ -162,12 +177,8 @@ class EigenDecomposition:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        vectors = np.asarray(self.vectors, dtype=float)
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
+        _store(self, "values", self.values)
+        _store(self, "vectors", self.vectors)
 
 
 @dataclass(frozen=True)
@@ -189,9 +200,7 @@ class Hyperplane:
         n = n / norm
         p = float(self.offset) / norm
         s = _canonical_sign(n)
-        n = s * n
-        n.setflags(write=False)
-        object.__setattr__(self, "normal", n)
+        _store(self, "normal", s * n)
         object.__setattr__(self, "offset", s * p)
 
     @property
@@ -226,8 +235,8 @@ class FlatSubspace:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        p = _as_vector(self.base_point, name="base_point")
-        basis = np.array(self.basis, dtype=float)
+        p = _store(self, "base_point", _as_vector(self.base_point, name="base_point"))
+        basis = _store(self, "basis", self.basis)
         if basis.ndim != 2 or basis.shape[0] != p.shape[0]:
             raise ValueError("basis must be a (k, l) array of columns")
         k, ell = basis.shape
@@ -236,11 +245,6 @@ class FlatSubspace:
         gram = basis.T @ basis
         if np.abs(gram - np.eye(ell)).max() > UNIT_TOL:
             raise ValueError("basis columns must be orthonormal")
-        p = p.copy()
-        p.setflags(write=False)
-        basis.setflags(write=False)
-        object.__setattr__(self, "base_point", p)
-        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -265,9 +269,10 @@ class FlatSubspace:
     def distances(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         diff = pts - self.base_point
-        inside = diff @ self.basis
-        d2 = np.einsum("ij,ij->i", diff, diff) - np.einsum("ij,ij->i", inside, inside)
-        return np.sqrt(np.maximum(d2, 0.0))
+        # the residual itself, not |diff|^2 - |inside|^2, which cancels when
+        # the base point is far from the points
+        resid = diff - (diff @ self.basis) @ self.basis.T
+        return np.sqrt(np.einsum("ij,ij->i", resid, resid))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .geometry import (
     Hyperplane,
     WeightedPointSet,
     _as_vector,
+    _store,
     require_full_rank,
 )
 
@@ -64,9 +65,7 @@ class ConfocalPencil:
 
     def __post_init__(self) -> None:
         for name in ("center", "frame", "principal_moments", "poles"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            _store(self, name, getattr(self, name))
 
     @property
     def dim(self) -> int:
@@ -158,9 +157,7 @@ class JacobiCoordinates:
 
     def __post_init__(self) -> None:
         for name, kind in (("lambdas", float), ("degenerate", bool), ("normals", float)):
-            a = np.asarray(getattr(self, name), dtype=kind)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            _store(self, name, getattr(self, name), kind)
 
     @property
     def largest(self) -> float:

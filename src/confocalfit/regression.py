@@ -40,6 +40,7 @@ from .geometry import (
     WeightedPointSet,
     _as_vector,
     _canonical_sign,
+    _store,
     require_full_rank,
 )
 from .pencil import JacobiCoordinates, build_pencil, jacobi_coordinates
@@ -75,10 +76,10 @@ class RestrictedPcaResult:
     point: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("directions", "moments", "tied", "point"):
-            a = np.asarray(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        for name, kind in (
+            ("directions", float), ("moments", float), ("tied", bool), ("point", float)
+        ):
+            _store(self, name, getattr(self, name), kind)
 
     def flats(self, ell: int) -> tuple[FitResult, FitResult]:
         """Best and worst l-flats through ``point``.
@@ -88,23 +89,25 @@ class RestrictedPcaResult:
         spanned by the l smallest and its moment is the sum of the k-l
         largest.  For l = k-1 both are returned as Hyperplanes.
         """
-        k = self.moments.shape[0]
-        if not 1 <= ell <= k - 1:
-            raise ValueError("flat dimension must satisfy 1 <= l <= k-1")
-        if ell == k - 1:
-            best: Hyperplane | FlatSubspace = Hyperplane.through(
-                self.point, self.directions[:, 0]
-            )
-            worst: Hyperplane | FlatSubspace = Hyperplane.through(
-                self.point, self.directions[:, -1]
-            )
-        else:
-            best = FlatSubspace(self.point, self.directions[:, k - ell:])
-            worst = FlatSubspace(self.point, self.directions[:, :ell])
-        return (
-            FitResult(best, float(self.moments[: k - ell].sum()), "best"),
-            FitResult(worst, float(self.moments[ell:].sum()), "worst"),
-        )
+        return _flats(self.point, self.directions, self.moments, ell)
+
+
+def _flats(point, directions, moments, ell: int) -> tuple[FitResult, FitResult]:
+    """``RestrictedPcaResult.flats`` for ascending ``moments`` whose principal
+    directions are the columns of ``directions``."""
+    k = moments.shape[0]
+    if not 1 <= ell <= k - 1:
+        raise ValueError("flat dimension must satisfy 1 <= l <= k-1")
+    if ell == k - 1:
+        best: Hyperplane | FlatSubspace = Hyperplane.through(point, directions[:, 0])
+        worst: Hyperplane | FlatSubspace = Hyperplane.through(point, directions[:, -1])
+    else:
+        best = FlatSubspace(point, directions[:, k - ell:])
+        worst = FlatSubspace(point, directions[:, :ell])
+    return (
+        FitResult(best, float(moments[: k - ell].sum()), "best"),
+        FitResult(worst, float(moments[ell:].sum()), "worst"),
+    )
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,6 @@ class TestReport:
     df1: int
     df2: float  # math.inf for the chi-square limit
     p_value: float
-    whitening: SymmetricOperator
     best_moment: float
     restricted_moment: float
 
@@ -264,17 +266,10 @@ def best_fit_flat(ps: WeightedPointSet, ell: int) -> FitResult:
     components, and its moment is the sum of the k-l smallest principal
     moments.  For l = k-1 the result is returned as a Hyperplane.
     """
-    k = ps.dim
-    if not 1 <= ell <= k - 1:
-        raise ValueError("flat dimension must satisfy 1 <= l <= k-1")
+    # a bad l is reported before a rank-deficient set
+    best, _ = _flats(ps.center, ps.spectrum.vectors, ps.spectrum.values, ell)
     require_full_rank(ps)
-    c, eig = ps.center, ps.spectrum
-    moment = float(eig.values[: k - ell].sum())
-    if ell == k - 1:
-        flat: Hyperplane | FlatSubspace = Hyperplane.through(c, eig.vectors[:, 0])
-    else:
-        flat = FlatSubspace(c, eig.vectors[:, k - ell:])
-    return FitResult(flat, moment, "best")
+    return best
 
 
 def restricted_pca(ps: WeightedPointSet, point) -> RestrictedPcaResult:
@@ -376,7 +371,6 @@ def point_hypothesis_test(
         df1=df1,
         df2=math.inf,
         p_value=f_upper_tail(statistic, df1, math.inf),
-        whitening=SymmetricOperator(white),
         best_moment=float(n * lam_c),
         restricted_moment=float(n * (2 * lam_c - lam_p)),
     )
@@ -401,7 +395,6 @@ def nested_f_test(ps: WeightedPointSet, w, point) -> TestReport:
         df1=1,
         df2=float(df2),
         p_value=f_upper_tail(statistic, 1, df2),
-        whitening=SymmetricOperator(np.eye(k)),
         best_moment=float(rss2),
         restricted_moment=float(rss1),
     )

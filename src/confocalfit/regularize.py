@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import L1DimensionTooLarge, NoEnvelope, ZeroVector
-from .geometry import Hyperplane, WeightedPointSet, _as_vector
+from .geometry import Hyperplane, WeightedPointSet, _as_vector, _store
 from .pencil import ConfocalPencil
 
 # The L1 solver visits all 3^k - 1 faces of the cube; one call stays below ~1 s.
@@ -37,9 +37,7 @@ class CoefficientVector:
         u = _as_vector(self.u, name="coefficients")
         if float(np.linalg.norm(u)) == 0.0:
             raise ZeroVector("coefficient vector must be nonzero")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
+        _store(self, "u", u)
 
     def hyperplane(self) -> Hyperplane:
         nrm = float(np.linalg.norm(self.u))
@@ -59,9 +57,7 @@ class DualQuadric:
     moment: float
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _store(self, "matrix", self.matrix)
 
     def residual(self, plane: Hyperplane | CoefficientVector) -> float:
         """Scale-free violation |t^T M t| / (||M|| ||t||^2)."""

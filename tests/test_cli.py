@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from confocalfit import pencil
+from confocalfit import cli, pencil
 from confocalfit.cli import UsageError, main, run_command
 from confocalfit.dataset import parse_dataset
 from confocalfit.errors import EmptyDataset, ParseError
@@ -89,6 +89,15 @@ def test_parse_mass_column(tmp_path):
     f.write_text("x,y,w\n0,0,1\n1,0,-2\n")
     with pytest.raises(ParseError):
         parse_dataset(str(f), mass_col="w")
+
+
+def test_point_set_reuses_the_dataset_arrays(tmp_path):
+    f = tmp_path / "mass.csv"
+    f.write_text("x,y,w\n0,0,1\n1,0,2\n0,1,3\n")
+    ds = parse_dataset(str(f), mass_col="w")
+    ps = ds.point_set()
+    assert np.shares_memory(ps.coords, ds.values)
+    assert np.shares_memory(ps.masses, ds.masses)
 
 
 def test_duplicated_header_name_is_a_parse_error(tmp_path):
@@ -283,6 +292,24 @@ def test_billiard_command():
     assert len(block["rays"]) == 6
     assert len(block["caustics"]) == 1
     assert isinstance(block["joachimsthal"], float)
+
+
+def test_bounces_above_the_cap_are_a_usage_error(monkeypatch, tmp_path, capsys):
+    def no_trajectory(*args):
+        raise AssertionError("trajectory must not run")
+
+    monkeypatch.setattr(cli, "trajectory", no_trajectory)
+    argv = [
+        "billiard", "--cols", "X,Y", "--member", "-20", "--start", "12.7,3.6",
+        "--dir", "0.6,0.8", "--bounces", str(cli.MAX_BOUNCES + 1),
+    ]
+    assert main([*argv, CELLS]) == 1
+    assert f"at most {cli.MAX_BOUNCES}" in capsys.readouterr().err
+    batch = tmp_path / "list.txt"
+    batch.write_text(f"{CELLS}\n")
+    reports, code = run_command([*argv, "--batch", str(batch)])
+    assert code == 1
+    assert reports[0]["error"]["code"] == "usage-error"
 
 
 def test_fit_ell_one_in_3d(tmp_path):

@@ -1,13 +1,24 @@
 """Core geometry: moments, inertia operators, eigendecomposition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confocalfit import (
+    CausticSet,
+    CoefficientVector,
+    ConfocalPencil,
+    Dataset,
+    DualQuadric,
+    EigenDecomposition,
     FlatSubspace,
     Hyperplane,
+    JacobiCoordinates,
+    Ray,
+    RestrictedPcaResult,
     SymmetricOperator,
     WeightedPointSet,
     axial_moment,
@@ -157,6 +168,18 @@ def test_l_planar_moment_matches_gram_oracle():
     assert l_planar_moment(ps, flat) == pytest.approx(
         gram_moment(ps, base, direction[:, None]), rel=1e-9
     )
+
+
+def test_l_planar_moment_far_from_the_flat_base_point():
+    # as_flat() puts the base point at the foot from the origin, 1.7e6 from
+    # data at +1e6; |x - b|^2 - |V^T (x - b)|^2 loses 5e-4 of the moment
+    rng = np.random.default_rng(23)
+    ps = random_point_set(rng, 3, n=200, shift=0.0)
+    ps = WeightedPointSet(ps.coords + 1e6, ps.masses)
+    plane = best_fit_flat(ps, 2).flat
+    assert np.linalg.norm(plane.as_flat().base_point - ps.center) > 1e6
+    expected = hyperplanar_moment(ps, plane)
+    assert l_planar_moment(ps, plane.as_flat()) == pytest.approx(expected, rel=1e-9)
 
 
 def test_gram_oracle_accepts_non_orthonormal_spans():
@@ -473,3 +496,94 @@ def test_hyperplane_canonicalization(comps, offset):
     assert np.linalg.norm(plane.normal) == pytest.approx(1.0, abs=1e-12)
     lead = plane.normal[np.flatnonzero(np.abs(plane.normal) > 1e-12)[0]]
     assert lead > 0
+
+
+# ---------------------------------------------------------------------------
+# values own read-only arrays
+# ---------------------------------------------------------------------------
+
+_PS = random_point_set(np.random.default_rng(31), 3)
+_JACOBI = JacobiCoordinates(np.array([-2.0, 0.5, 0.9]), np.zeros(3, bool), np.eye(3))
+
+# (value, caller's array): each value is built from a fresh writeable array
+OWNERSHIP_CASES = {
+    "WeightedPointSet": (WeightedPointSet, lambda: _PS.coords.copy()),
+    "SymmetricOperator": (SymmetricOperator, lambda: np.diag([3.0, 2.0, 1.0])),
+    "EigenDecomposition": (
+        lambda a: EigenDecomposition(a, np.eye(3)), lambda: np.array([1.0, 2.0, 3.0])
+    ),
+    "Hyperplane": (lambda a: Hyperplane(a, 1.0), lambda: np.array([1.0, 2.0, 2.0])),
+    "FlatSubspace": (
+        lambda a: FlatSubspace(np.zeros(3), a), lambda: np.eye(3)[:, :2].copy()
+    ),
+    "Dataset": (
+        lambda a: Dataset(("x", "y", "z"), a, np.ones(len(a)), "memory"),
+        lambda: _PS.coords.copy(),
+    ),
+    "ConfocalPencil": (
+        lambda a: ConfocalPencil(np.zeros(3), np.eye(3), np.array([1.0, 2.0, 3.0]), 1.0, a),
+        lambda: np.array([1.0, 0.0, -1.0]),
+    ),
+    "JacobiCoordinates": (
+        lambda a: JacobiCoordinates(np.array([-2.0, 0.5, 0.9]), a, np.eye(3)),
+        lambda: np.array([False, True, False]),
+    ),
+    "Ray": (lambda a: Ray(a, np.array([1.0, 0.0, 0.0])), lambda: np.array([0.1, 0.2, 0.3])),
+    "CausticSet": (CausticSet, lambda: np.array([0.5, 0.8])),
+    "RestrictedPcaResult": (
+        lambda a: RestrictedPcaResult(
+            np.eye(3), np.array([1.0, 2.0, 3.0]), _JACOBI, np.zeros(3, bool), a
+        ),
+        lambda: np.array([0.1, 0.2, 0.3]),
+    ),
+    "CoefficientVector": (CoefficientVector, lambda: np.array([1.0, 2.0, 3.0])),
+    "DualQuadric": (lambda a: DualQuadric(a, 1.0), lambda: np.diag([1.0, 2.0, 3.0, -1.0])),
+    "restricted_pca": (
+        lambda a: restricted_pca(_PS, a), lambda: _PS.center + np.array([1.0, -2.0, 0.5])
+    ),
+    "restricted_best_fit_flat": (
+        lambda a: restricted_best_fit_flat(_PS, a, 1),
+        lambda: _PS.center + np.array([1.0, -2.0, 0.5]),
+    ),
+}
+
+
+def _stored_arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _stored_arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _stored_arrays(getattr(value, f.name))
+
+
+@pytest.mark.parametrize("build, given", OWNERSHIP_CASES.values(), ids=OWNERSHIP_CASES)
+def test_values_never_freeze_or_alias_the_callers_arrays(build, given):
+    a = given()
+    value = build(a)
+    assert a.flags.writeable
+    stored = list(_stored_arrays(value))
+    assert stored and not any(s.flags.writeable for s in stored)
+    assert not any(np.shares_memory(s, a) for s in stored)
+    kept = [s.copy() for s in stored]
+    if a.dtype == bool:
+        a ^= True
+    else:
+        a += 1.0
+    assert all(np.array_equal(s, k) for s, k in zip(stored, kept))
+    # a read-only view of a writeable array can still change: it is copied
+    b = given()
+    view = b.view()
+    view.setflags(write=False)
+    assert not any(np.shares_memory(s, b) for s in _stored_arrays(build(view)))
+
+
+def test_read_only_arrays_are_shared_not_copied():
+    pencil = build_pencil(_PS)
+    assert pencil.center is _PS.center and pencil.frame is _PS.spectrum.vectors
+    res = restricted_pca(_PS, _PS.center + 1.0)
+    best, worst = res.flats(1)
+    assert np.shares_memory(best.flat.basis, res.directions)
+    assert np.shares_memory(worst.flat.basis, res.directions)
