@@ -13,6 +13,7 @@ unset, importing the package asks OpenBLAS for one thread.
 """
 
 import os
+import types
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -78,4 +79,8 @@ from .regularize import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names, without ``os``, ``types`` or the submodules
+__all__ = [
+    name for name, value in list(vars().items())
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+]

@@ -21,6 +21,7 @@ from .errors import (
     InvalidSemiaxes,
     NoIntersection,
     NotEllipsoidType,
+    UsageError,
 )
 from .geometry import FlatSubspace, _as_vector, _store
 from .pencil import ConfocalPencil, QuadricMember, tangent_moment
@@ -40,7 +41,7 @@ class Ray:
         d = _as_vector(self.direction, len(p), "direction")
         nrm = float(np.linalg.norm(d))
         if nrm == 0.0:
-            raise ValueError("ray direction must be nonzero")
+            raise UsageError("ray direction must be nonzero")
         _store(self, "direction", d / nrm)
 
     def line(self) -> FlatSubspace:
@@ -152,7 +153,7 @@ def trajectory(member: QuadricMember, start: Ray, bounces: int) -> list[Ray]:
     if not member.is_ellipsoid:
         raise NotEllipsoidType("billiard domain must be an ellipsoid member")
     if bounces < 0:
-        raise ValueError("bounces must be non-negative")
+        raise UsageError("bounces must be non-negative")
     if member.evaluate(start.point) > 1.0 + 1e-9:
         raise NoIntersection("start point lies outside the member")
     pencil, s = member.pencil, member.semiaxes_sq

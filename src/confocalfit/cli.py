@@ -1,7 +1,8 @@
 """Command-line interface: dataset analysis commands emitting JSON reports.
 
-Exit codes: 0 success, 1 usage error, 2 domain error.  Domain errors are
-reported as JSON with the failing module's stable error code.
+Exit codes: 0 success, 1 usage error, 2 domain error; the exception's type
+alone decides which.  Domain errors are reported as JSON with the failing
+module's stable error code.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import report as rp
 from .billiards import Ray, caustics_of_flat, higher_axial_moments, joachimsthal_2d, trajectory
 from .dataset import Dataset, parse_dataset
-from .errors import ConfocalFitError, DegenerateFlat
+from .errors import ConfocalFitError, DegenerateFlat, UsageError
 from .geometry import SymmetricOperator
 from .pencil import build_pencil, jacobi_coordinates
 from .regression import (
@@ -31,10 +32,6 @@ from .svg import emit_svg
 # Every ray of a billiard run is kept and written out (about 2 KB of memory
 # and 170 bytes of JSON per bounce), so ``--bounces`` is capped.
 MAX_BOUNCES = 100_000
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +54,10 @@ def _vector(text: str, k: int, name: str) -> np.ndarray:
     if len(values) != k:
         raise UsageError(f"{name}: expected {k} components, got {len(values)}")
     return np.asarray(values)
+
+
+def _number(text: str, name: str) -> float:
+    return float(_vector(text, 1, name)[0])
 
 
 def _covariance(text: str, k: int) -> SymmetricOperator:
@@ -112,33 +113,29 @@ def build_parser() -> _Parser:
 
     p = add("regularize", help="bounded-coefficient orthogonal regression")
     p.add_argument("--norm", required=True, choices=["l1", "l2"])
-    p.add_argument("--bound", required=True, type=float)
+    p.add_argument("--bound", required=True)
 
     p = add("billiard", help="billiard trajectory inside a pencil member")
-    p.add_argument("--member", required=True, type=float, help="pencil parameter")
+    p.add_argument("--member", required=True, help="pencil parameter")
     p.add_argument("--start", required=True, help="starting point")
     p.add_argument("--dir", required=True, dest="direction", help="starting direction")
     p.add_argument("--bounces", required=True, type=int)
 
     p = add("plot", help="SVG figure of the data, fits and conics (k = 2 only)")
     p.add_argument("--through", help="overlay the restricted fit through this point")
+    p.set_defaults(ell=None)
     return parser
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns the report dict)
+# Subcommand handlers (each returns the report's keys after "dataset")
 # ---------------------------------------------------------------------------
 
 def _fit_report(ds: Dataset, args) -> dict:
     ps = ds.point_set()
     pencil = build_pencil(ps)
     ell = args.ell if args.ell is not None else ps.dim - 1
-    out = {
-        "command": "fit",
-        "dataset": rp.dataset_block(ds),
-        "pencil": rp.pencil_block(pencil),
-        "warnings": [],
-    }
+    out = {"pencil": rp.pencil_block(pencil), "warnings": []}
     # at the centroid the restricted fits are the unrestricted ones
     point = ps.center if args.through is None else _vector(args.through, ps.dim, "--through")
     res = restricted_pca(ps, point)
@@ -154,8 +151,6 @@ def _pca_report(ds: Dataset, args) -> dict:
     point = _vector(args.at, ps.dim, "--at")
     res = restricted_pca(ps, point)
     return {
-        "command": "pca",
-        "dataset": rp.dataset_block(ds),
         "pencil": rp.pencil_block(pencil),
         "jacobi": rp.jacobi_block(pencil, point, res.lambdas),
         "pca": {
@@ -175,8 +170,6 @@ def _directional_report(ds: Dataset, args) -> dict:
     )
     fit = directional_fit(ps, w, through=through)
     out = {
-        "command": "directional",
-        "dataset": rp.dataset_block(ds),
         "pencil": rp.pencil_block(build_pencil(ps)),
         "fits": [rp.fit_block(fit)],
         "warnings": [],
@@ -194,8 +187,6 @@ def _test_point_report(ds: Dataset, args) -> dict:
     result = point_hypothesis_test(ps, point, cov)
     pencil = build_pencil(ps)
     return {
-        "command": "test-point",
-        "dataset": rp.dataset_block(ds),
         "pencil": rp.pencil_block(pencil),
         "jacobi": rp.jacobi_block(pencil, point, jacobi_coordinates(pencil, point)),
         "test": rp.test_block(result),
@@ -206,12 +197,7 @@ def _test_point_report(ds: Dataset, args) -> dict:
 def _pencil_report(ds: Dataset, args) -> dict:
     ps = ds.point_set()
     pencil = build_pencil(ps)
-    out = {
-        "command": "pencil",
-        "dataset": rp.dataset_block(ds),
-        "pencil": rp.pencil_block(pencil),
-        "warnings": [],
-    }
+    out = {"pencil": rp.pencil_block(pencil), "warnings": []}
     if args.jacobi is not None:
         point = _vector(args.jacobi, ps.dim, "--jacobi")
         out["jacobi"] = rp.jacobi_block(pencil, point, jacobi_coordinates(pencil, point))
@@ -220,11 +206,9 @@ def _pencil_report(ds: Dataset, args) -> dict:
 
 def _regularize_report(ds: Dataset, args) -> dict:
     ps = ds.point_set()
-    fit = constrained_fit(ps, args.norm, args.bound)
+    fit = constrained_fit(ps, args.norm, _number(args.bound, "--bound"))
     plane = fit.coefficients.hyperplane()
     return {
-        "command": "regularize",
-        "dataset": rp.dataset_block(ds),
         "regularize": {
             "norm": fit.norm,
             "bound": fit.bound,
@@ -244,7 +228,8 @@ def _billiard_report(ds: Dataset, args) -> dict:
         raise UsageError(f"--bounces: at most {MAX_BOUNCES}, got {args.bounces}")
     ps = ds.point_set()
     pencil = build_pencil(ps)
-    member = pencil.member(args.member)
+    lam = _number(args.member, "--member")
+    member = pencil.member(lam)
     start = Ray(
         _vector(args.start, ps.dim, "--start"),
         _vector(args.direction, ps.dim, "--dir"),
@@ -252,7 +237,7 @@ def _billiard_report(ds: Dataset, args) -> dict:
     rays = trajectory(member, start, args.bounces)
     warnings: list[str] = []
     block = {
-        "member": float(args.member),
+        "member": lam,
         "bounces": args.bounces,
         "rays": [
             {"point": r.point.tolist(), "direction": r.direction.tolist()} for r in rays
@@ -267,8 +252,6 @@ def _billiard_report(ds: Dataset, args) -> dict:
         local = Ray(pencil.to_principal(start.point), pencil.frame.T @ start.direction)
         block["joachimsthal"] = joachimsthal_2d(member.semiaxes_sq, local)[0]
     return {
-        "command": "billiard",
-        "dataset": rp.dataset_block(ds),
         "pencil": rp.pencil_block(pencil),
         "billiard": block,
         "warnings": warnings,
@@ -278,9 +261,7 @@ def _billiard_report(ds: Dataset, args) -> dict:
 def _plot_report(ds: Dataset, args) -> dict:
     if args.out is None:
         raise UsageError("plot requires --out FILE.svg")
-    fit_args = argparse.Namespace(ell=None, through=args.through)
-    out = _fit_report(ds, fit_args)
-    out["command"] = "plot"
+    out = _fit_report(ds, args)
     if args.through is None:
         out["fits"] = [fit for fit in out["fits"] if fit["role"] == "best"]
     document = emit_svg(out, ds)
@@ -302,46 +283,52 @@ _HANDLERS = {
 }
 
 
-def _load(args) -> Dataset:
-    if args.data is None:
+def _load(path: str | None, args) -> Dataset:
+    if path is None:
         raise UsageError("missing dataset path")
     cols = args.cols.split(",") if args.cols else None
-    return parse_dataset(args.data, cols=cols, mass_col=args.mass_col)
+    return parse_dataset(path, cols=cols, mass_col=args.mass_col)
 
 
 def _run(args) -> tuple[dict | list, int]:
+    """Run the command on every dataset; a single dataset is a batch of one.
+
+    A failing dataset costs only its own report.  A usage error makes a
+    batch exit 1, a domain error (if no usage error) 2; in a single run a
+    usage error propagates instead, to be reported on stderr.
+    """
     handler = _HANDLERS[args.command]
-    if args.batch is not None:
+    if args.batch is None:
+        paths = [args.data]
+    elif args.command == "plot":
+        raise UsageError("plot takes no --batch: every entry would write the same --out file")
+    else:
         try:
             with open(args.batch, encoding="utf-8") as handle:
                 paths = [line.strip() for line in handle if line.strip()]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read batch file: {exc}") from exc
-        # one bad entry costs only its own report; a usage error anywhere
-        # makes the run exit 1, else a domain error makes it exit 2
-        reports: list[dict] = []
-        code = 0
-        for path in paths:
-            args.data = path
-            try:
-                reports.append(handler(_load(args), args))
-            except ConfocalFitError as exc:
-                reports.append(_error_report(args.command, exc.code, exc))
-                code = code or 2
-            except (UsageError, ValueError) as exc:
-                reports.append(_error_report(args.command, "usage-error", exc))
-                code = 1
-        return reports, code
-    try:
-        return handler(_load(args), args), 0
-    except ConfocalFitError as exc:
-        return _error_report(args.command, exc.code, exc), 2
+    reports: list[dict] = []
+    code = 0
+    for path in paths:
+        try:
+            ds = _load(path, args)
+            reports.append(
+                {"command": args.command, "dataset": rp.dataset_block(ds), **handler(ds, args)}
+            )
+        except ConfocalFitError as exc:
+            usage = isinstance(exc, UsageError)
+            if usage and args.batch is None:
+                raise
+            reports.append(_error_report(args.command, exc))
+            code = 1 if usage else code or 2
+    return (reports[0] if args.batch is None else reports), code
 
 
-def _error_report(command: str, code: str, exc: Exception) -> dict:
+def _error_report(command: str, exc: ConfocalFitError) -> dict:
     return {
         "command": command,
-        "error": {"code": code, "message": str(exc)},
+        "error": {"code": exc.code, "message": str(exc)},
         "warnings": [],
     }
 
@@ -354,11 +341,10 @@ def run_command(argv: list[str]) -> tuple[dict | list, int]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         result, code = _run(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     text = rp.dumps(result)

@@ -137,8 +137,9 @@ def _parse_cells(path: str, cols: list[str] | None, mass_col: str | None) -> Dat
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    # csv.Error: an oversized field or a stray quote; UnicodeDecodeError: not UTF-8
-    except (OSError, csv.Error, UnicodeDecodeError) as exc:
+    # csv.Error: an oversized field or a stray quote; ValueError: not UTF-8
+    # (UnicodeDecodeError) or a NUL in the path
+    except (OSError, csv.Error, ValueError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     if not rows:
         raise EmptyDataset(f"{path!r} is empty")

@@ -11,6 +11,12 @@ class ConfocalFitError(Exception):
     code = "error"
 
 
+class UsageError(ConfocalFitError, ValueError):
+    """An argument the caller can correct (CLI exit 1, not 2); also a ValueError."""
+
+    code = "usage-error"
+
+
 class RankDeficient(ConfocalFitError):
     """Point set does not span the ambient space (centered operator singular)."""
 
@@ -81,6 +87,18 @@ class DegenerateFlat(ConfocalFitError):
     """Tangency parameters of the flat are not simple roots."""
 
     code = "degenerate-flat"
+
+
+class BadFlatDimension(ConfocalFitError, ValueError):
+    """Flat dimension outside 1..k-1 for this data's k."""
+
+    code = "bad-flat-dimension"
+
+
+class MemberOnPole(ConfocalFitError, ValueError):
+    """Pencil parameter on a pole: that member is a coordinate hyperplane."""
+
+    code = "member-on-pole"
 
 
 class ParseError(ConfocalFitError):

@@ -25,6 +25,7 @@ from .errors import (
     DirectionParallel,
     NotSymmetric,
     RankDeficient,
+    UsageError,
 )
 
 # Relative threshold of the full-rank ("generality") check: the smallest
@@ -98,7 +99,7 @@ class WeightedPointSet:
         if n < 1:
             raise ValueError("need at least one point")
         if k < 2:
-            raise ValueError("ambient dimension must be at least 2")
+            raise UsageError("ambient dimension must be at least 2")
         if not np.all(np.isfinite(coords)):
             raise ValueError("coords contain non-finite entries")
         masses = _store(self, "masses", np.ones(n) if self.masses is None else self.masses)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, InvalidSemiaxes, PointNotOnQuadric
+from .errors import DegenerateSpectrum, InvalidSemiaxes, MemberOnPole, PointNotOnQuadric
 from .geometry import (
     Hyperplane,
     WeightedPointSet,
@@ -103,7 +103,7 @@ class ConfocalPencil:
         lam = float(lam)
         scale = max(1.0, float(np.abs(self.poles).max()))
         if np.any(np.abs(self.poles - lam) <= 1e-14 * scale):
-            raise ValueError(
+            raise MemberOnPole(
                 "parameter coincides with a pole; that member is a coordinate hyperplane"
             )
         positive = int(np.sum(self.poles > lam))

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     BadCovariance,
+    BadFlatDimension,
     BadDegrees,
     DirectionDegenerate,
     NonUnitMasses,
@@ -97,7 +98,7 @@ def _flats(point, directions, moments, ell: int) -> tuple[FitResult, FitResult]:
     directions are the columns of ``directions``."""
     k = moments.shape[0]
     if not 1 <= ell <= k - 1:
-        raise ValueError("flat dimension must satisfy 1 <= l <= k-1")
+        raise BadFlatDimension("flat dimension must satisfy 1 <= l <= k-1")
     if ell == k - 1:
         best: Hyperplane | FlatSubspace = Hyperplane.through(point, directions[:, 0])
         worst: Hyperplane | FlatSubspace = Hyperplane.through(point, directions[:, -1])

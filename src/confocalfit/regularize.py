@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import L1DimensionTooLarge, NoEnvelope, ZeroVector
+from .errors import L1DimensionTooLarge, NoEnvelope, UsageError, ZeroVector
 from .geometry import Hyperplane, WeightedPointSet, _as_vector, _store
 from .pencil import ConfocalPencil
 
@@ -204,8 +204,8 @@ def constrained_fit(ps: WeightedPointSet, norm: str, bound: float) -> Regularize
     if norm not in ("l1", "l2"):
         raise ValueError("norm must be 'l1' or 'l2'")
     bound = float(bound)
-    if bound <= 0:
-        raise ValueError("bound must be positive")
+    if not 0 < bound < np.inf:
+        raise UsageError("bound must be positive and finite")
     if norm == "l1" and ps.dim > L1_MAX_DIM:
         raise L1DimensionTooLarge(f"L1 bounds take at most {L1_MAX_DIM} coordinates, got {ps.dim}")
     c, s = ps.center, ps.centered_inertia.entries

@@ -7,16 +7,19 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import ModuleType
 
 import jsonschema
 import numpy as np
 import pytest
 
+import confocalfit
 from confocalfit import cli, pencil
 from confocalfit.cli import UsageError, main, run_command
 from confocalfit.dataset import parse_dataset
 from confocalfit.errors import EmptyDataset, ParseError
-from confocalfit.regularize import L1_MAX_DIM
+from confocalfit.pencil import build_pencil
+from confocalfit.regularize import L1_MAX_DIM, constrained_fit
 from confocalfit.report import load_schema
 
 from test_geometry import _record_calls
@@ -115,29 +118,29 @@ def test_duplicated_header_name_is_a_parse_error(tmp_path):
 
 
 def _unreadable_csvs(tmp_path):
-    """A cell past the csv field limit, and a byte that is not UTF-8."""
+    """A cell past the csv field limit, a byte that is not UTF-8, a NUL in the path."""
     huge = tmp_path / "huge.csv"
     huge.write_text("X,Y\n1,2\n3," + "4" * 200_000 + "\n5,7\n")
     latin = tmp_path / "latin.csv"
     latin.write_bytes(b"X,Y\n1,2\n3,\xff4\n5,7\n")
-    return huge, latin
+    return huge, latin, f"{tmp_path}/nul\0.csv"
 
 
 def test_unreadable_csv_is_a_parse_error(tmp_path, capsys):
-    for path, detail in zip(_unreadable_csvs(tmp_path), ("field limit", "utf-8")):
+    for path, detail in zip(_unreadable_csvs(tmp_path), ("field limit", "utf-8", "null byte")):
         assert main(["fit", str(path)]) == 2
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["code"] == "parse-error" and detail in error["message"]
 
 
 def test_batch_keeps_good_reports_past_an_unreadable_csv(tmp_path, capsys):
-    huge, latin = _unreadable_csvs(tmp_path)
+    huge, latin, nul = _unreadable_csvs(tmp_path)
     listing = tmp_path / "list.txt"
-    listing.write_text(f"{FORBES}\n{huge}\n{latin}\n{FORBES}\n")
+    listing.write_text(f"{FORBES}\n{huge}\n{latin}\n{nul}\n{FORBES}\n")
     assert main(["pencil", "--batch", str(listing)]) == 2
     reports = json.loads(capsys.readouterr().out)
     assert [r.get("error", {}).get("code") for r in reports] == [
-        None, "parse-error", "parse-error", None
+        None, "parse-error", "parse-error", "parse-error", None
     ]
     for report in reports:
         jsonschema.validate(report, SCHEMA)
@@ -448,13 +451,118 @@ def test_batch_keeps_good_reports_past_a_usage_error(tmp_path, capsys):
     for report in reports:
         jsonschema.validate(report, SCHEMA)
     # an unreadable list is still a usage error for the whole run
-    with pytest.raises(UsageError):
-        run_command(["fit", "--batch", str(tmp_path / "missing.txt")])
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(f"{FORBES}\n\xff.csv\n".encode("latin-1"))
+    for unreadable in (tmp_path / "missing.txt", latin):
+        with pytest.raises(UsageError, match="cannot read batch file"):
+            run_command(["fit", "--batch", str(unreadable)])
 
 
 def test_run_command_rejects_missing_data():
     with pytest.raises(UsageError):
         run_command(["fit"])
+
+
+def _billiard(option, value):
+    """The README billiard command on cells, with one option replaced."""
+    options = {"--member": "-20", "--start": "12.7,3.6", "--dir": "0.6,0.8", "--bounces": "5"}
+    options[option] = value
+    return ["billiard", "--cols", "X,Y", *(item for pair in options.items() for item in pair)]
+
+
+_CELLS_POLES = build_pencil(parse_dataset(CELLS, cols=["X", "Y"]).point_set()).poles.tolist()
+
+# every argument failure the library raises: a usage error (exit 1, stderr in
+# a single run) or, where it depends on the data's k or poles, a domain error
+# (exit 2, JSON error report)
+ARGUMENT_FAILURES = [
+    pytest.param(["fit", "--cols", "X"], "usage-error", "ambient dimension must be at least 2",
+                 id="one-column"),
+    pytest.param(_billiard("--dir", "0,0"), "usage-error", "ray direction must be nonzero",
+                 id="zero-direction"),
+    pytest.param(_billiard("--bounces", "-1"), "usage-error", "bounces must be non-negative",
+                 id="negative-bounces"),
+    pytest.param(["regularize", "--cols", "X,Y", "--norm", "l2", "--bound", "0"],
+                 "usage-error", "bound must be positive", id="zero-bound"),
+    pytest.param(["fit", "--cols", "X,Y", "--ell", "0"], "bad-flat-dimension", "1 <= l <= k-1",
+                 id="ell-0"),
+    pytest.param(["fit", "--cols", "X,Y", "--ell", "2"], "bad-flat-dimension", "1 <= l <= k-1",
+                 id="ell-k"),
+    *(pytest.param(_billiard("--member", repr(pole)), "member-on-pole",
+                   "coincides with a pole", id=f"member-on-pole-{i}")
+      for i, pole in enumerate(_CELLS_POLES)),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", ARGUMENT_FAILURES)
+def test_argument_failures_map_to_their_exit_status(argv, code, message, tmp_path, capsys):
+    usage = code == "usage-error"
+    assert main([*argv, CELLS]) == (1 if usage else 2)
+    out, err = capsys.readouterr()
+    if usage:
+        assert out == "" and err.startswith("usage error: ") and message in err
+    else:
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["code"] == code and message in error["message"]
+    listing = tmp_path / "list.txt"
+    listing.write_text(f"{CELLS}\n{CELLS}\n")
+    reports, status = run_command([*argv, "--batch", str(listing)])
+    assert status == (1 if usage else 2)
+    assert [r["error"]["code"] for r in reports] == [code, code]
+    for report in reports:
+        jsonschema.validate(report, SCHEMA)
+
+
+def test_a_value_error_the_package_did_not_raise_is_not_a_usage_error(monkeypatch, tmp_path):
+    def boom(ds, args):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "pencil", boom)
+    with pytest.raises(ValueError, match="boom"):
+        main(["pencil", FORBES])
+    listing = tmp_path / "list.txt"
+    listing.write_text(f"{FORBES}\n")
+    with pytest.raises(ValueError, match="boom"):
+        main(["pencil", "--batch", str(listing)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["regularize", "--cols", "X,Y", "--norm", "l2", "--bound", "nan"],
+    ["regularize", "--cols", "X,Y", "--norm", "l1", "--bound", "inf"],
+    _billiard("--member", "nan"),
+    _billiard("--member", "inf"),
+], ids=["bound-nan", "bound-inf", "member-nan", "member-inf"])
+def test_scalar_options_must_be_finite(argv, capsys):
+    assert main([*argv, CELLS]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "expected finite numbers" in err
+
+
+def test_constrained_fit_rejects_a_bound_that_is_not_finite_and_positive():
+    ps = parse_dataset(FORBES).point_set()
+    for bound in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(UsageError, match="positive and finite"):
+            constrained_fit(ps, "l2", bound)
+
+
+def test_plot_takes_no_batch(monkeypatch, tmp_path, capsys):
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("no dataset may be read")
+
+    monkeypatch.setattr(cli, "parse_dataset", no_dataset)
+    listing = tmp_path / "list.txt"
+    listing.write_text(f"{FORBES}\n{FORBES}\n")
+    out = tmp_path / "f.svg"
+    assert main(["plot", "--batch", str(listing), "--out", str(out)]) == 1
+    assert "plot takes no --batch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_package_exports_no_module():
+    assert "os" not in confocalfit.__all__
+    assert not [n for n in confocalfit.__all__ if isinstance(getattr(confocalfit, n), ModuleType)]
+    assert {"build_pencil", "restricted_pca", "parse_dataset"} <= set(confocalfit.__all__)
 
 
 def test_cli_process_runs_without_scipy(tmp_path):
