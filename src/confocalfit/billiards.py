@@ -23,7 +23,7 @@ from .errors import (
     NotEllipsoidType,
     UsageError,
 )
-from .geometry import FlatSubspace, _as_vector, _store
+from .geometry import FlatSubspace, _as_vector, _store, _unit
 from .pencil import ConfocalPencil, QuadricMember, tangent_moment
 
 _ESCAPE_T = 1e-10
@@ -38,11 +38,10 @@ class Ray:
 
     def __post_init__(self) -> None:
         p = _store(self, "point", _as_vector(self.point, name="point"))
-        d = _as_vector(self.direction, len(p), "direction")
-        nrm = float(np.linalg.norm(d))
-        if nrm == 0.0:
+        d = _unit(_as_vector(self.direction, len(p), "direction"))
+        if not d.any():
             raise UsageError("ray direction must be nonzero")
-        _store(self, "direction", d / nrm)
+        _store(self, "direction", d)
 
     def line(self) -> FlatSubspace:
         return FlatSubspace(self.point, self.direction[:, None])
@@ -82,7 +81,7 @@ def caustics_of_flat(pencil: ConfocalPencil, flat: FlatSubspace) -> CausticSet:
     p = pencil.to_principal(flat.base_point)
     v = pencil.frame.T @ flat.basis
     lam = _tangency_parameters(pencil.poles, p, v)
-    scale = max(1.0, float(np.abs(pencil.poles).max()), float(np.abs(lam).max()))
+    scale = max(float(np.abs(pencil.poles).max()), float(np.abs(lam).max()))
     if lam.size > 1 and np.min(np.diff(lam)) <= 1e-9 * scale:
         raise DegenerateFlat("tangency parameters are not simple roots")
     return CausticSet(lam)

@@ -264,9 +264,7 @@ def _plot_report(ds: Dataset, args) -> dict:
     out = _fit_report(ds, args)
     if args.through is None:
         out["fits"] = [fit for fit in out["fits"] if fit["role"] == "best"]
-    document = emit_svg(out, ds)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(document)
+    _write(args.out, emit_svg(out, ds))
     out["plot"] = {"out": args.out}
     return out
 
@@ -281,6 +279,14 @@ _HANDLERS = {
     "billiard": _billiard_report,
     "plot": _plot_report,
 }
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out file: {exc}") from exc
 
 
 def _load(path: str | None, args) -> Dataset:
@@ -344,15 +350,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         result, code = _run(args)
+        text = rp.dumps(result)
+        if args.out and args.command != "plot":
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    text = rp.dumps(result)
-    if args.out and args.command != "plot":
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

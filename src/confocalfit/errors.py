@@ -115,6 +115,12 @@ class NotPlanar(ConfocalFitError):
     code = "not-planar"
 
 
+class BoundTooSmall(ConfocalFitError):
+    """Regularization bound so small that the fit's moment overflows a float."""
+
+    code = "bound-too-small"
+
+
 class L1DimensionTooLarge(ConfocalFitError):
     """Too many coordinates for the L1 solver's search over all faces."""
 

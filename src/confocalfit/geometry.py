@@ -48,6 +48,16 @@ def _as_vector(x, k: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """``v / |v|``, divided by its largest |component| first so that no square
+    over- or underflows whatever its scale; the zero vector stays zero."""
+    top = float(np.abs(v).max())
+    if top == 0.0:
+        return v
+    v = v / top
+    return v / float(np.linalg.norm(v))
+
+
 def _store(obj, name: str, value, dtype=float) -> np.ndarray:
     """Set the field ``name`` of a frozen value to a read-only array of ``value``.
 
@@ -156,8 +166,7 @@ class SymmetricOperator:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("entries must be a square matrix")
-        scale = max(1.0, float(np.abs(a).max()))
-        if np.abs(a - a.T).max() > SYMMETRY_TOL * scale:
+        if np.abs(a - a.T).max() > SYMMETRY_TOL * np.abs(a).max():
             raise NotSymmetric("operator is not symmetric within tolerance")
         _store(self, "entries", 0.5 * (a + a.T))
 
@@ -264,7 +273,7 @@ class FlatSubspace:
         else:
             cols = v.T
         q, r = np.linalg.qr(cols)
-        keep = np.abs(np.diag(r)) > 1e-13 * max(1.0, np.abs(cols).max())
+        keep = np.abs(np.diag(r)) > 1e-13 * np.abs(cols).max()
         return cls(np.asarray(point, dtype=float), q[:, keep])
 
     def distances(self, points) -> np.ndarray:
@@ -322,11 +331,9 @@ def directional_moment(ps: WeightedPointSet, plane: Hyperplane, w) -> float:
     Raises ``DirectionParallel`` when ``w`` is (numerically) parallel to the
     plane.
     """
-    w = _as_vector(w, ps.dim, "direction")
-    nw = float(np.linalg.norm(w))
-    if nw == 0.0:
+    w = _unit(_as_vector(w, ps.dim, "direction"))
+    if not w.any():
         raise DirectionParallel("direction vector is zero")
-    w = w / nw
     cos = float(w @ plane.normal)
     if abs(cos) < 1e-12:
         raise DirectionParallel("direction lies in the hyperplane")

@@ -15,14 +15,17 @@ The k solutions of ``Q_lambda(x) = 1`` in ``lambda`` are the Jacobi
 coordinates of ``x``: the eigenvalues of ``diag(p) - x x^T`` (Golub 1973),
 so the inertia operator at the point has eigenvalues ``2 J_1 - m lambda``
 and, as eigenvectors, the normals there of the members through it.  Each
-root is halved in its interlacing bracket as an offset from the nearer
-pole (``dlaed4``; Bunch, Nielsen & Sorensen 1978; Li 1994), so no
-``p_i - lambda`` cancels, and the normals use ``x`` recomputed from the
-roots (Gu & Eisenstat 1995) to stay orthonormal near the poles.
+root is found apart, in its interlacing bracket, as an offset from the
+nearer pole, so no ``p_i - lambda`` cancels, by a safeguarded rational
+iteration (Bunch, Nielsen & Sorensen 1978; Li 1994, the "middle way" of
+LAPACK ``dlaed4``) that stops when it has converged.  The normals use ``x``
+recomputed from the roots (Gu & Eisenstat 1995) to stay orthonormal near
+the poles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +47,11 @@ GAP_TOL = 1e-8
 # and produces a degenerate Jacobi coordinate (the pole itself).
 COORD_TOL = 1e-9
 
-# Halvings of every Jacobi bracket; 2^-64 of a bracket is below rounding.
-_HALVINGS = 64
+# Rational steps one root may take, a safeguard only: every root stops on
+# its own tests well before it.
+_MAX_STEPS = 60
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,7 @@ class ConfocalPencil:
     def member(self, lam: float) -> "QuadricMember":
         """The pencil member at parameter ``lam`` (must not sit on a pole)."""
         lam = float(lam)
-        scale = max(1.0, float(np.abs(self.poles).max()))
-        if np.any(np.abs(self.poles - lam) <= 1e-14 * scale):
+        if np.any(np.abs(self.poles - lam) <= 1e-14 * float(np.abs(self.poles).max())):
             raise MemberOnPole(
                 "parameter coincides with a pole; that member is a coordinate hyperplane"
             )
@@ -191,43 +196,111 @@ def build_pencil(ps: WeightedPointSet) -> ConfocalPencil:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi coordinates (secular equation, joint halving of interlacing brackets)
+# Jacobi coordinates (secular equation, one rational iteration per root)
 # ---------------------------------------------------------------------------
+
+def _secular_root(z: list[float], p: list[float], j: int) -> tuple[float, float, int]:
+    """Root ``j``, counted from below, of sum_i z_i/(p_i - lam) = 1 for ascending ``p``.
+
+    The left side increases strictly between consecutive poles, so root
+    ``j > 0`` is the one in (p_(j-1), p_j) and root 0 the one in
+    ``[p_0 - 2 sum(z), p_0]``: at its left end every term is below 1/2
+    whatever the data's units.  The root is sought as an offset ``tau`` from
+    the end pole that the midpoint shows to be nearer (root 0 has only its
+    upper one), so no ``p_i - lam`` cancels.
+
+    Each step evaluates g = psi + phi - 1 at ``tau`` (psi and phi: the terms
+    of the poles left and right of the root) with both derivatives, shrinks
+    the bracket by the sign of g and moves to the root of the model
+    c + s/(D_l - eta) + S/(D_r - eta).  Its poles are the bracket's end poles
+    at offsets D_l, D_r from ``tau``, with s = D_l^2 psi', S = D_r^2 phi' and
+    c chosen so that it matches g and g' at ``tau`` (Li 1994, the "middle
+    way" of LAPACK ``dlaed4``); root 0 has no left poles and takes the
+    one-pole model c + S/(D_r - eta).  The model is solved for the new offset
+    from the origin rather than for ``eta``, so a root next to its pole keeps
+    its relative accuracy.  A step that leaves the bracket falls back to the
+    bracket's midpoint.  The loop stops when |eta| <= 2 eps |tau|, when g is
+    zero to within its rounding error, or when the bracket has collapsed;
+    ``_MAX_STEPS`` only guards.  Returns ``(origin, tau, steps)``, the root
+    being origin + tau.
+    """
+    if j == 0:
+        upper, width = True, 2.0 * sum(z)
+    else:
+        width = p[j] - p[j - 1]
+        upper = sum(zi / ((pi - p[j]) + 0.5 * width) for zi, pi in zip(z, p)) < 1.0
+    origin = p[j] if upper else p[j - 1]
+    d = [pi - origin for pi in p]
+    left, right = list(zip(z[:j], d[:j])), list(zip(z[j:], d[j:]))
+    lo, hi = (-width, 0.0) if upper else (0.0, width)
+    # g sums k + 1 terms, each rounded twice, and psi <= 0 <= phi, so
+    # tol * (phi - psi + 1) bounds its rounding error
+    tol = (len(p) + 2) * _EPS
+    tau = 0.5 * (lo + hi)
+    for steps in range(1, _MAX_STEPS + 1):
+        # the derivatives enter only as D_l psi' and D_r phi', summed as
+        # t_i D/(d_i - tau) with ratios of at most 1, so like every other
+        # intermediate below they stay in the float range with the roots
+        dl, dr = (d[j - 1] - tau if j else 0.0), d[j] - tau
+        psi = dl_dpsi = phi = dr_dphi = 0.0
+        for zi, di in left:
+            gap = di - tau
+            t = zi / gap
+            psi += t
+            dl_dpsi += t * (dl / gap)
+        for zi, di in right:
+            gap = di - tau
+            t = zi / gap
+            phi += t
+            dr_dphi += t * (dr / gap)
+        g = psi + phi - 1.0
+        converged = abs(g) <= tol * (phi - psi + 1.0)
+        if not converged:
+            if g < 0.0:
+                lo = tau
+            else:
+                hi = tau
+        c = g - dl_dpsi - dr_dphi
+        if j == 0:
+            step = tau * (dr_dphi / -c) if c < 0.0 else math.nan
+        else:
+            # with the weights w = s/width, S/width of the origin pole (w_o)
+            # and the other one (w_x), on side e = +-1 of the origin, the new
+            # offset zeta in units of the width solves
+            # c zeta^2 - (e c + w_o + w_x) zeta + e w_o = 0
+            w_l, w_r = dl / width * dl_dpsi, dr / width * dr_dphi
+            e, w_o, w_x = (-1.0, w_r, w_l) if upper else (1.0, w_l, w_r)
+            b = e * c + w_o + w_x
+            root = math.sqrt(abs(b * b - 4.0 * e * c * w_o))
+            if b > 0.0:
+                step = e * width * (2.0 * w_o / (b + root))
+            elif c != 0.0:
+                step = width * ((b - root) / (2.0 * c))
+            else:
+                step = math.nan
+        eta = step - tau
+        inside = lo < step < hi
+        if converged or abs(eta) <= 2.0 * _EPS * abs(tau):
+            # a last step of a few ulps is kept or dropped, never bisected
+            return origin, (step if inside else tau), steps
+        if not inside:
+            step = 0.5 * (lo + hi)
+            if step == lo or step == hi:
+                return origin, tau, steps
+        tau = step
+    return origin, tau, _MAX_STEPS
+
 
 def _secular_roots(x2: np.ndarray, poles_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All roots of sum_i x2_i/(p_i - lam) = 1 for strictly positive x2.
 
-    The left side increases strictly between consecutive poles, so there is
-    one root in each open gap (p_(i+1), p_i) and one below the smallest pole,
-    in ``[p_min - 2 sum(x2), p_min]``: at its left end every term is below
-    1/2 whatever the data's units.  Each root is sought as an offset from
-    the end pole of its bracket that the midpoint shows to be nearer (the
-    leftmost bracket has only its upper one), halving all k offsets together
-    ``_HALVINGS`` times.  Returns the ascending roots and the (pole, root)
-    differences ``p_i - lam_j``, which do not cancel.
+    Solves for each root apart with ``_secular_root``.  Returns the ascending
+    roots and the (pole, root) differences ``p_i - lam_j``, which do not
+    cancel.
     """
-    asc = poles_desc[::-1]
-    width = np.concatenate(([2.0 * x2.sum()], np.diff(asc)))
-    # as offsets from a pole no bracket rounds away, even if sum(x2) < 1 ulp
-    at_mid = (poles_desc - asc[:, None]) + 0.5 * width[:, None]
-    upper = (np.reciprocal(at_mid) @ x2 < 1.0) | (np.arange(len(asc)) == 0)
-    origin = np.where(upper, asc, np.roll(asc, 1))
-    shifted = poles_desc - origin[:, None]
-    lo, hi = np.where(upper, -width, 0.0), np.where(upper, 0.0, width)
-    for _ in range(_HALVINGS):
-        tau = 0.5 * (lo + hi)
-        below = np.reciprocal(shifted - tau[:, None]) @ x2 < 1.0
-        lo = np.where(below, tau, lo)
-        hi = np.where(below, hi, tau)
-    tau = 0.5 * (lo + hi)
-    # one step of tau = x2_o / (psi - 1) (x2_o: the origin pole's weight, psi:
-    # the other terms) makes tau exact to rounding when it is far below the
-    # bracket width; where x2_o is negligible the clip keeps the halving's tau
-    at_origin = shifted == 0.0
-    psi = np.where(at_origin, 0.0, x2 / (shifted - tau[:, None])).sum(axis=1)
-    with np.errstate(divide="ignore", over="ignore"):
-        tau = np.clip(np.where(at_origin, x2, 0.0).sum(axis=1) / (psi - 1.0), lo, hi)
-    return origin + tau, (shifted - tau[:, None]).T
+    p, z = poles_desc[::-1].tolist(), x2[::-1].tolist()
+    origin, tau = np.array([_secular_root(z, p, j)[:2] for j in range(len(p))]).T
+    return origin + tau, (poles_desc[:, None] - origin) - tau
 
 
 def jacobi_coordinates(pencil: ConfocalPencil, point) -> JacobiCoordinates:

@@ -42,6 +42,7 @@ from .geometry import (
     _as_vector,
     _canonical_sign,
     _store,
+    _unit,
     require_full_rank,
 )
 from .pencil import JacobiCoordinates, build_pencil, jacobi_coordinates
@@ -313,11 +314,9 @@ def directional_fit(ps: WeightedPointSet, w, through=None) -> FitResult:
     ``w^T J^{-1} w > 0``, so ``w`` never lies in the plane.
     """
     require_full_rank(ps)
-    w = _as_vector(w, ps.dim, "direction")
-    nw = float(np.linalg.norm(w))
-    if nw == 0.0:
+    w = _unit(_as_vector(w, ps.dim, "direction"))
+    if not w.any():
         raise DirectionDegenerate("direction vector is zero")
-    w = w / nw
     a_c, m = ps.centered_inertia.entries, ps.total_mass
     anchor, d = ps.center, np.zeros(ps.dim)
     if through is not None:

@@ -15,16 +15,20 @@ the bound's level set touches that pencil; ``constrained_fit`` solves for it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import L1DimensionTooLarge, NoEnvelope, UsageError, ZeroVector
+from .errors import BoundTooSmall, L1DimensionTooLarge, NoEnvelope, UsageError, ZeroVector
 from .geometry import Hyperplane, WeightedPointSet, _as_vector, _store
 from .pencil import ConfocalPencil
 
 # The L1 solver visits all 3^k - 1 faces of the cube; one call stays below ~1 s.
 L1_MAX_DIM = 10
+
+# Largest float whose square is finite.
+_ROOT_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -214,6 +218,11 @@ def constrained_fit(ps: WeightedPointSet, norm: str, bound: float) -> Regularize
     n = n if n @ c >= 0 else -n
     q = float(np.abs(n).sum()) if norm == "l1" else 1.0
     active = float(n @ c) < q / bound
+    # a touching plane lies at distance >= 1/bound, so its moment, and the
+    # rank-one terms of both solvers, grow as m (sqrt(k)/bound + |c|)^2
+    reach = math.sqrt(m) * (math.sqrt(ps.dim) / bound + float(np.linalg.norm(c)))
+    if active and reach > _ROOT_MAX:
+        raise BoundTooSmall(f"bound {bound!r} is too small: the fit's moment would overflow")
     if not active:
         p = float(n @ c)
     elif norm == "l2":

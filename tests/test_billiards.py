@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from confocalfit import (
+    ConfocalPencil,
     FlatSubspace,
     Ray,
     WeightedPointSet,
@@ -197,6 +198,20 @@ def test_degenerate_flat_rejected():
     line = FlatSubspace(pencil.center, direction[:, None])
     with pytest.raises(DegenerateFlat):
         caustics_of_flat(pencil, line)
+
+
+def test_caustic_simplicity_test_scales_with_the_poles():
+    # poles scaled by 4^j and the line by 2^j: the same caustics, scaled by
+    # 4^j, at every scale
+    poles = np.array([2.0, -1.0, -3.5])
+    point, direction = np.array([0.4, -1.3, 0.8]), np.array([2.0, 1.0, -2.0]) / 3.0
+    caustics = None
+    for j in range(-500, 501, 10):
+        f, s = 4.0**j, 2.0**j
+        pencil = ConfocalPencil(np.zeros(3), np.eye(3), (2 * poles[0] - poles) * f, 1.0, poles * f)
+        lam = caustics_of_flat(pencil, FlatSubspace(point * s, direction[:, None])).lambdas
+        caustics = lam / f if caustics is None else caustics
+        np.testing.assert_allclose(lam, caustics * f, rtol=1e-13, atol=0)
 
 
 def test_principal_axis_line_moment_pattern():

@@ -395,6 +395,39 @@ def test_out_file(tmp_path, capsys):
     assert payload["command"] == "pencil"
 
 
+@pytest.mark.parametrize("command", [["pencil", CELLS, "--cols", "X,Y"],
+                                     ["plot", CELLS, "--cols", "X,Y"]], ids=["report", "svg"])
+def test_out_that_cannot_be_written_is_a_usage_error(command, tmp_path, capsys):
+    assert main([*command, "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: cannot write --out file")
+
+
+@pytest.mark.parametrize("argv, unit", [
+    (["directional", FORBES], "1,1"),
+    (["billiard", CELLS, "--cols", "X,Y", "--member", "-20", "--start", "12.7,3.6",
+      "--bounces", "3"], "1,0"),
+], ids=["directional", "billiard"])
+def test_direction_scale_does_not_change_the_report(argv, unit):
+    from confocalfit.report import dumps
+
+    expected = dumps(run_ok([*argv, "--dir", unit]))
+    for scale in (1e300, 1e-320):
+        direction = ",".join(repr(float(c) * scale) for c in unit.split(","))
+        assert dumps(run_ok([*argv, "--dir", direction])) == expected
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_regularize_bound_whose_moment_overflows_is_a_domain_error(norm):
+    report, code = run_command(["regularize", FORBES, "--norm", norm, "--bound", "1e-160"])
+    assert code == 2
+    assert report["error"]["code"] == "bound-too-small"
+    # a bound whose moment (about m / bound^2 = 17e300) still fits is solved
+    fit = run_ok(["regularize", FORBES, "--norm", norm, "--bound", "1e-150"])["regularize"]
+    assert fit["moment"] == pytest.approx(1.7e301, rel=1e-6)
+    assert np.abs(fit["coefficients"]).max() <= 1e-150
+
+
 def test_reports_are_byte_deterministic():
     from confocalfit.report import dumps
 

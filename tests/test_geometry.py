@@ -458,6 +458,23 @@ def test_symmetric_operator_rejects_asymmetry():
         SymmetricOperator(np.array([[1.0, 2.0], [2.5, 1.0]]))
 
 
+def test_symmetry_and_rank_tests_scale_with_the_entries():
+    # an operator scaled by 4^j (a moment) and spanning vectors scaled by 2^j
+    # (lengths) meet the same verdicts at every scale
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    skew = np.array([[0.0, 1e-6], [-1e-6, 0.0]])
+    independent = np.array([[1.0, 2.0, 0.5], [1.0, 2.0, 0.5 + 1e-6]])
+    dependent = np.array([[1.0, 2.0, 0.5], [-2.0, -4.0, -1.0]])
+    for j in range(-500, 501, 10):
+        f = 4.0**j
+        assert np.array_equal(SymmetricOperator(a * f).entries, a * f)
+        with pytest.raises(NotSymmetric):
+            SymmetricOperator((a + skew) * f)
+        s = 2.0**j
+        assert FlatSubspace.spanned_by(np.ones(3) * s, independent * s).flat_dim == 2
+        assert FlatSubspace.spanned_by(np.ones(3) * s, dependent * s).flat_dim == 1
+
+
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------

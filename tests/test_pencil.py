@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from confocalfit import (
+    ConfocalPencil,
     DegenerateHyperplane,
     FlatSubspace,
     Hyperplane,
@@ -25,6 +26,7 @@ from confocalfit import (
 from confocalfit.errors import (
     DegenerateSpectrum,
     InvalidSemiaxes,
+    MemberOnPole,
     PointNotOnQuadric,
     RankDeficient,
 )
@@ -145,6 +147,22 @@ def test_attach_points_have_symmetric_inertia():
             )
 
 
+def test_member_on_pole_test_scales_with_the_poles():
+    # poles and parameters scaled by 4^j: the same parameters are members,
+    # with semiaxes scaled exactly, and the poles themselves are refused
+    poles = np.array([2.0, -1.0, -3.5])
+    for j in range(-500, 501, 10):
+        f = 4.0**j
+        pencil = ConfocalPencil(np.zeros(3), np.eye(3), (2 * poles[0] - poles) * f, 1.0, poles * f)
+        for lam, type_index in ((3.0, 0), (0.5, 1), (-2.0, 2), (-7.0, 3)):
+            member = pencil.member(lam * f)
+            assert member.type_index == type_index
+            assert np.array_equal(member.semiaxes_sq, (poles - lam) * f)
+        for pole in poles:
+            with pytest.raises(MemberOnPole):
+                pencil.member(pole * f)
+
+
 def test_gyration_membership():
     # the mass-normalized axial gyration ellipsoid x_i^2/I_i = 1/m is a member
     rng = np.random.default_rng(22)
@@ -227,9 +245,9 @@ def test_jacobi_degenerate_on_principal_hyperplane():
 
 
 def test_jacobi_far_point_stability():
-    # bisection stays accurate when the point is six orders of magnitude
-    # away; measure root error by the Newton correction |f/f'|, since the
-    # raw residual is amplified by the enormous secular slope out here
+    # the secular solver stays accurate when the point is six orders of
+    # magnitude away; measure root error by the Newton correction |f/f'|,
+    # since the raw residual is amplified by the enormous secular slope
     rng = np.random.default_rng(33)
     ps = random_point_set(rng, 3)
     pencil = build_pencil(ps)
