@@ -21,11 +21,9 @@ from confocalfit import (  # noqa: E402
     centroid,
     directional_fit,
     inertia_operator,
-    jacobi_coordinates,
     nested_f_test,
     parse_dataset,
     point_hypothesis_test,
-    restricted_best_fit_flat,
     restricted_pca,
 )
 
@@ -50,11 +48,12 @@ def cells_example():
     print(f"best line           y = {slope:.5f} x {intercept:+.5f}")
     print(f"pencil poles        ({pencil.poles[0]:.5f}, {pencil.poles[1]:.5f})")
     origin = np.zeros(2)
-    lam = jacobi_coordinates(pencil, origin).lambdas
-    print(f"Jacobi(origin)      ({lam[0]:.4f}, {lam[1]:.5f})")
+    # one Jacobi solve at the origin gives its coordinates, moments and fits
     pca = restricted_pca(ps, origin)
+    lam = pca.lambdas.lambdas
+    print(f"Jacobi(origin)      ({lam[0]:.4f}, {lam[1]:.5f})")
     print(f"moments at origin   ({pca.moments[0]:.6f}, {pca.moments[1]:.4f})")
-    best, worst = restricted_best_fit_flat(ps, origin, 1)
+    best, worst = pca.flats(1)
     print(f"restricted best     y = {slope_intercept(best.flat)[0]:.5f} x")
     print(f"restricted worst    y = {slope_intercept(worst.flat)[0]:.6f} x")
     test = point_hypothesis_test(ps, origin, SymmetricOperator(np.diag([0.25, 0.25])))
@@ -75,9 +74,9 @@ def forbes_example():
     slope, intercept = slope_intercept(vertical.flat)
     print(f"vertical LS line    y = {slope:.4f} x {intercept:+.5f}   moment {vertical.moment:.9f}")
     target = np.array([201.5, 24.5])
-    lam = jacobi_coordinates(pencil, target).lambdas
-    print(f"Jacobi(201.5,24.5)  ({lam[0]:.4f}, {lam[1]:.6f})")
     pca = restricted_pca(ps, target)
+    lam = pca.lambdas.lambdas
+    print(f"Jacobi(201.5,24.5)  ({lam[0]:.4f}, {lam[1]:.6f})")
     print(f"moments at target   ({pca.moments[0]:.6f}, {pca.moments[1]:.5f})")
     restricted = directional_fit(ps, [0.0, 1.0], through=target)
     slope, intercept = slope_intercept(restricted.flat)

@@ -38,10 +38,10 @@ class Ray:
 
     def __post_init__(self) -> None:
         p = _store(self, "point", _as_vector(self.point, name="point"))
-        d = _unit(_as_vector(self.direction, len(p), "direction"))
+        d = _as_vector(self.direction, len(p), "direction")
         if not d.any():
             raise UsageError("ray direction must be nonzero")
-        _store(self, "direction", d)
+        _store(self, "direction", _unit(d))
 
     def line(self) -> FlatSubspace:
         return FlatSubspace(self.point, self.direction[:, None])

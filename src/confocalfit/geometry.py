@@ -31,6 +31,7 @@ from .errors import (
 # Relative threshold of the full-rank ("generality") check: the smallest
 # eigenvalue of the centered operator must exceed RANK_TOL times the largest.
 RANK_TOL = 1e-10
+_RANK_DEFICIENT = "point set lies in a hyperplane within tolerance"
 
 # Absolute-per-scale tolerances for structural invariants.
 SYMMETRY_TOL = 1e-12
@@ -49,13 +50,17 @@ def _as_vector(x, k: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    """``v / |v|``, divided by its largest |component| first so that no square
-    over- or underflows whatever its scale; the zero vector stays zero."""
-    top = float(np.abs(v).max())
-    if top == 0.0:
-        return v
-    v = v / top
-    return v / float(np.linalg.norm(v))
+    """``v / |v|`` for a nonzero ``v``, or each column of a 2-D ``v`` over its
+    own length.  ``v`` is divided by its largest |component| first, so that
+    the result does not depend on its scale, down to subnormal entries."""
+    v = v / np.abs(v).max(axis=0)
+    return v / np.hypot.reduce(v, axis=0)
+
+
+def _full_rank(values: np.ndarray) -> bool:
+    """The generality rule on ascending eigenvalues of a centred operator:
+    the smallest exceeds ``RANK_TOL`` times the largest."""
+    return bool(values[0] > RANK_TOL * max(values[-1], 0.0))
 
 
 def _store(obj, name: str, value, dtype=float) -> np.ndarray:
@@ -91,9 +96,11 @@ class WeightedPointSet:
 
     ``coords`` is an (N, k) array in sample units.  The set owns its centered
     spectrum, computed once on first use and read-only: ``center`` (the
-    centroid), ``centered_inertia`` (the inertia operator about it) and
-    ``spectrum`` (that operator's ``symmetric_eigen``).  Every fit, the
-    pencil and the full-rank check read these instead of recomputing them.
+    centroid) with ``center_residual`` (what rounding it lost),
+    ``centered_inertia`` (the inertia operator about it) and ``spectrum``
+    (that operator's ``symmetric_eigen``).  Every fit, the pencil and the
+    full-rank check read these instead of recomputing them, and
+    ``offset_from_center`` forms every P - c from the first two.
     The set is *full rank* when it does not lie in any hyperplane, measured
     by ``spectrum``.
     """
@@ -135,12 +142,35 @@ class WeightedPointSet:
         return bool(np.all(self.masses == 1.0))
 
     @cached_property
-    def center(self) -> np.ndarray:
-        """Mass-weighted mean, summed as offsets from the first point (exact far out)."""
+    def _centroid(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(center, center_residual)`` from one pass over the points."""
         ref = self.coords[0]
-        c = ref + self.masses @ (self.coords - ref) / self.total_mass
+        offset = self.masses @ (self.coords - ref) / self.total_mass
+        c = ref + offset
+        # TwoSum (Knuth): ref + offset == c + residual exactly
+        back = c - ref
+        residual = (ref - (c - back)) + (offset - back)
         c.setflags(write=False)
-        return c
+        residual.setflags(write=False)
+        return c, residual
+
+    @property
+    def center(self) -> np.ndarray:
+        """Mass-weighted mean: the first point plus the mean offset from it,
+        rounded to a float vector in that final addition."""
+        return self._centroid[0]
+
+    @property
+    def center_residual(self) -> np.ndarray:
+        """What that final rounding lost: the centroid is ``center +
+        center_residual`` to the accuracy of the mean offset, which far from
+        the origin ``center`` alone misses by up to eps/2 of its size."""
+        return self._centroid[1]
+
+    def offset_from_center(self, points) -> np.ndarray:
+        """``points - centroid`` for one point or an (n, k) array of them,
+        taken against the unrounded centroid."""
+        return _offset(points, self.center, self.center_residual)
 
     @cached_property
     def centered_inertia(self) -> "SymmetricOperator":
@@ -152,8 +182,13 @@ class WeightedPointSet:
 
     @cached_property
     def is_full_rank(self) -> bool:
-        vals = self.spectrum.values
-        return bool(vals[0] > RANK_TOL * max(vals[-1], 0.0))
+        return _full_rank(self.spectrum.values)
+
+
+def _offset(points, center: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """``points - (center + residual)``, with the centre never rounded: the one
+    rule for P - c, which ``WeightedPointSet`` and ``ConfocalPencil`` share."""
+    return (np.asarray(points, dtype=float) - center) - residual
 
 
 @dataclass(frozen=True)
@@ -203,12 +238,14 @@ class Hyperplane:
     offset: float
 
     def __post_init__(self) -> None:
-        n = _as_vector(self.normal, name="normal")
-        norm = float(np.linalg.norm(n))
-        if norm == 0.0:
+        given = _as_vector(self.normal, name="normal")
+        i = int(np.abs(given).argmax())
+        top = float(given[i])
+        if top == 0.0:
             raise ValueError("hyperplane normal must be nonzero")
-        n = n / norm
-        p = float(self.offset) / norm
+        n = _unit(given)
+        # n_i / given_i is 1/|given| for every i; the largest is the most exact
+        p = float(self.offset) / top * float(n[i])
         s = _canonical_sign(n)
         _store(self, "normal", s * n)
         object.__setattr__(self, "offset", s * p)
@@ -331,9 +368,10 @@ def directional_moment(ps: WeightedPointSet, plane: Hyperplane, w) -> float:
     Raises ``DirectionParallel`` when ``w`` is (numerically) parallel to the
     plane.
     """
-    w = _unit(_as_vector(w, ps.dim, "direction"))
+    w = _as_vector(w, ps.dim, "direction")
     if not w.any():
         raise DirectionParallel("direction vector is zero")
+    w = _unit(w)
     cos = float(w @ plane.normal)
     if abs(cos) < 1e-12:
         raise DirectionParallel("direction lies in the hyperplane")
@@ -354,4 +392,4 @@ def symmetric_eigen(op: SymmetricOperator) -> EigenDecomposition:
 
 def require_full_rank(ps: WeightedPointSet) -> None:
     if not ps.is_full_rank:
-        raise RankDeficient("point set lies in a hyperplane within tolerance")
+        raise RankDeficient(_RANK_DEFICIENT)

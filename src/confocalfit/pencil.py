@@ -30,13 +30,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, InvalidSemiaxes, MemberOnPole, PointNotOnQuadric
+from .errors import (
+    DegenerateSpectrum,
+    InvalidSemiaxes,
+    MemberOnPole,
+    PointNotOnQuadric,
+    RankDeficient,
+)
 from .geometry import (
+    EigenDecomposition,
     Hyperplane,
     WeightedPointSet,
+    _RANK_DEFICIENT,
     _as_vector,
+    _full_rank,
+    _offset,
     _store,
-    require_full_rank,
+    _unit,
 )
 
 # Relative gap below which two principal moments count as equal (the pencil
@@ -60,7 +70,9 @@ class ConfocalPencil:
 
     ``frame`` holds orthonormal principal axes as columns, ordered by
     ascending principal moment; ``poles`` are the corresponding (strictly
-    decreasing) pole values ``(2 J_1 - J_i)/m``.
+    decreasing) pole values ``(2 J_1 - J_i)/m``.  ``center_residual`` is the
+    point set's: the centre is ``center + center_residual`` (zeros when not
+    given), and the frame change takes it in.
     """
 
     center: np.ndarray
@@ -68,9 +80,12 @@ class ConfocalPencil:
     principal_moments: np.ndarray
     mass: float
     poles: np.ndarray
+    center_residual: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        for name in ("center", "frame", "principal_moments", "poles"):
+        if self.center_residual is None:
+            object.__setattr__(self, "center_residual", np.zeros(len(self.center)))
+        for name in ("center", "frame", "principal_moments", "poles", "center_residual"):
             _store(self, name, getattr(self, name))
 
     @property
@@ -79,11 +94,11 @@ class ConfocalPencil:
 
     def to_principal(self, point) -> np.ndarray:
         point = _as_vector(point, self.dim, "point")
-        return self.frame.T @ (point - self.center)
+        return self.frame.T @ _offset(point, self.center, self.center_residual)
 
     def from_principal(self, coords) -> np.ndarray:
         coords = _as_vector(coords, self.dim, "coords")
-        return self.center + self.frame @ coords
+        return self.center + (self.frame @ coords + self.center_residual)
 
     def focal_scale(self) -> float:
         """Length scale of the focal set, sqrt((J_k - J_1)/m)."""
@@ -186,13 +201,21 @@ class NoSolution:
 
 def build_pencil(ps: WeightedPointSet) -> ConfocalPencil:
     """Construct the confocal family attached to a full-rank point set."""
-    require_full_rank(ps)
-    J = ps.spectrum.values
+    return _pencil(ps.center, ps.center_residual, ps.spectrum, ps.total_mass)
+
+
+def _pencil(
+    center: np.ndarray, residual: np.ndarray, spectrum: EigenDecomposition, mass: float
+) -> ConfocalPencil:
+    """The family of the centred operator with eigensystem ``spectrum`` and
+    total mass ``mass``, centred at ``center + residual``."""
+    J = spectrum.values
+    if not _full_rank(J):
+        raise RankDeficient(_RANK_DEFICIENT)
     if np.any(np.diff(J) <= GAP_TOL * J[-1]):
         raise DegenerateSpectrum("principal moments are not pairwise distinct")
-    m = ps.total_mass
-    poles = (2 * J[0] - J) / m
-    return ConfocalPencil(ps.center, ps.spectrum.vectors, J, m, poles)
+    poles = (2 * J[0] - J) / mass
+    return ConfocalPencil(center, spectrum.vectors, J, mass, poles, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +339,7 @@ def jacobi_coordinates(pencil: ConfocalPencil, point) -> JacobiCoordinates:
     # the 1e-6 * |x| term keeps the threshold a few ulps above the rounding
     # noise of the frame change for far-away points without swallowing
     # genuinely small coordinates
-    scale = max(pencil.focal_scale(), 1e-6 * float(np.linalg.norm(x)), 1e-300)
+    scale = max(pencil.focal_scale(), 1e-6 * float(np.linalg.norm(x)))
     zero = np.abs(x) < COORD_TOL * scale
     k, nz = pencil.dim, int(zero.sum())
     values, normals = np.empty(k), np.zeros((k, k))
@@ -332,7 +355,7 @@ def jacobi_coordinates(pencil: ConfocalPencil, point) -> JacobiCoordinates:
         x_hat = np.copysign(np.sqrt(np.prod(diff[:, ::-1] / gaps, axis=1)), x[~zero])
         vectors = x_hat[:, None] / diff
         values[nz:] = roots
-        normals[~zero, nz:] = vectors / np.linalg.norm(vectors, axis=0)
+        normals[~zero, nz:] = _unit(vectors)
     order = np.argsort(values, kind="stable")
     return JacobiCoordinates(values[order], (np.arange(k) < nz)[order], normals[:, order])
 
@@ -360,7 +383,7 @@ def envelope_for_moment(pencil: ConfocalPencil, j_pi: float):
     """
     J = pencil.principal_moments
     j_pi = float(j_pi)
-    tol = 1e-12 * max(float(J[-1]), abs(j_pi), 1e-300)
+    tol = 1e-12 * max(float(J[-1]), abs(j_pi))
     hits = np.flatnonzero(np.abs(J - j_pi) <= tol)
     if hits.size:
         i = int(hits[0])

@@ -44,8 +44,9 @@ from .geometry import (
     _store,
     _unit,
     require_full_rank,
+    symmetric_eigen,
 )
-from .pencil import JacobiCoordinates, build_pencil, jacobi_coordinates
+from .pencil import JacobiCoordinates, _pencil, build_pencil, jacobi_coordinates
 
 # Relative gap below which two point-inertia eigenvalues count as tied
 # (point on a focal locus); tied directions are flagged, not resolved.
@@ -284,7 +285,7 @@ def restricted_pca(ps: WeightedPointSet, point) -> RestrictedPcaResult:
     directions *= [_canonical_sign(v) for v in directions.T]
     gaps = np.diff(mu)
     tied = np.zeros(ps.dim, dtype=bool)
-    close = gaps <= TIE_TOL * max(mu[-1], 1e-300)
+    close = gaps <= TIE_TOL * mu[-1]
     tied[:-1] |= close
     tied[1:] |= close
     return RestrictedPcaResult(directions, mu, lambdas, tied, p)
@@ -310,21 +311,22 @@ def directional_fit(ps: WeightedPointSet, w, through=None) -> FitResult:
     The normal is proportional to ``J^{-1} w`` where J is the inertia
     operator at the anchor (centroid, or ``through`` when given).  The
     reported moment is the directional moment ``n^T J n / (w.n)^2`` of the
-    returned hyperplane, read from the same k x k operator; ``w.n`` is
-    ``w^T J^{-1} w > 0``, so ``w`` never lies in the plane.
+    returned hyperplane, read from the same k x k operator; ``w.n`` is a
+    positive multiple of ``w^T J^{-1} w > 0``, so ``w`` never lies in the
+    plane.
     """
     require_full_rank(ps)
-    w = _unit(_as_vector(w, ps.dim, "direction"))
+    w = _as_vector(w, ps.dim, "direction")
     if not w.any():
         raise DirectionDegenerate("direction vector is zero")
+    w = _unit(w)
     a_c, m = ps.centered_inertia.entries, ps.total_mass
-    anchor, d = ps.center, np.zeros(ps.dim)
-    if through is not None:
-        anchor = _as_vector(through, ps.dim, "through")
-        d = anchor - ps.center
+    anchor = ps.center if through is None else _as_vector(through, ps.dim, "through")
+    d = ps.offset_from_center(anchor)
     try:
-        # A(P) = A(c) + m (P - c)(P - c)^T, exact at P = c
-        normal = np.linalg.solve(a_c + m * np.outer(d, d), w)
+        # A(P) = A(c) + m (P - c)(P - c)^T; the normal is made a unit vector
+        # so that the moment's squares below stay in the float range
+        normal = _unit(np.linalg.solve(a_c + m * np.outer(d, d), w))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by rank check
         raise DirectionDegenerate("inertia operator is singular") from exc
     # n^T A(P) n as two non-negative terms: the summed operator rounds A(c)
@@ -346,10 +348,12 @@ def point_hypothesis_test(
 ) -> TestReport:
     """Test whether the best-fit hyperplane passes through ``point``.
 
-    Coordinates are whitened by ``error_cov^{-1/2}``; in whitened space the
-    statistic is ``N/(N-k+1) * (2 lambda_kC - lambda_kP)`` over the largest
-    Jacobi coordinates of the centroid and of the point, and its null law is
-    F with ``(N-k+1, inf)`` degrees of freedom.
+    Coordinates are whitened by ``W = error_cov^{-1/2}``; in whitened space
+    the statistic is ``N/(N-k+1) * (2 lambda_kC - lambda_kP)`` over the
+    largest Jacobi coordinates of the centroid and of the point, and its null
+    law is F with ``(N-k+1, inf)`` degrees of freedom.  The whitened set's
+    centred operator is ``W A(c) W`` and the point sits at ``W (P - c)`` from
+    its centroid, so the test reads the set's summary, not its points.
     """
     if not ps.has_unit_masses:
         raise NonUnitMasses("the test statistic assumes unit masses")
@@ -357,10 +361,11 @@ def point_hypothesis_test(
         raise BadCovariance("error covariance has the wrong dimension")
     p = _as_vector(point, ps.dim, "point")
     white = _inverse_sqrt(error_cov)
-    ps_w = WeightedPointSet(ps.coords @ white, ps.masses)
-    pencil_w = build_pencil(ps_w)
+    spectrum_w = symmetric_eigen(SymmetricOperator(white @ ps.centered_inertia.entries @ white))
+    origin = np.zeros(ps.dim)
+    pencil_w = _pencil(origin, origin, spectrum_w, ps.total_mass)
     lam_c = float(pencil_w.poles[0])  # the centroid's largest Jacobi coordinate, J_1/m
-    lam_p = jacobi_coordinates(pencil_w, white @ p).largest
+    lam_p = jacobi_coordinates(pencil_w, white @ ps.offset_from_center(p)).largest
     n, k = ps.n_points, ps.dim
     df1 = n - k + 1
     if df1 < 1:

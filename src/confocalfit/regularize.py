@@ -39,13 +39,12 @@ class CoefficientVector:
 
     def __post_init__(self) -> None:
         u = _as_vector(self.u, name="coefficients")
-        if float(np.linalg.norm(u)) == 0.0:
+        if not u.any():
             raise ZeroVector("coefficient vector must be nonzero")
         _store(self, "u", u)
 
     def hyperplane(self) -> Hyperplane:
-        nrm = float(np.linalg.norm(self.u))
-        return Hyperplane(self.u / nrm, 1.0 / nrm)
+        return Hyperplane(self.u, 1.0)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Core geometry: moments, inertia operators, eigendecomposition."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +72,31 @@ def test_centroid_far_from_origin():
     x = np.random.default_rng(0).normal(size=(10_000, 3)) + 1e6
     expected = x[0] + (x - x[0]).mean(axis=0)
     assert np.abs(centroid(WeightedPointSet(x)) - expected).max() <= 4 * np.spacing(1e6)
+
+
+def test_centroid_residual_keeps_what_the_rounding_lost():
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(40, 3)) + [1e6, -2e6, 3e6]
+    ps = WeightedPointSet(x, rng.uniform(0.5, 2.0, size=40))
+    masses = [Fraction(m) for m in ps.masses]
+    exact = [
+        sum(m * Fraction(v) for m, v in zip(masses, col)) / sum(masses) for col in x.T
+    ]
+    point = ps.center + [1.0, -0.5, 0.25]
+    got = ps.offset_from_center(point)
+    for i in range(3):
+        assert abs(Fraction(ps.center[i]) + Fraction(ps.center_residual[i]) - exact[i]) <= 1e-14
+        assert abs(Fraction(got[i]) - (Fraction(point[i]) - exact[i])) <= 1e-14
+    assert np.array_equal(ps.offset_from_center(np.stack([point, point])), [got, got])
+    # the pencil's frame change takes the residual in both ways: a point
+    # placed from principal coordinates is rounded once, at the end
+    pencil = build_pencil(ps)
+    frame = [[Fraction(f) for f in row] for row in pencil.frame]
+    for x in rng.normal(size=(8, 3)):
+        placed = pencil.from_principal(x)
+        for i in range(3):
+            want = exact[i] + sum(f * Fraction(v) for f, v in zip(frame[i], x))
+            assert abs(Fraction(placed[i]) - want) <= abs(np.spacing(placed[i])) / 2 + 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +539,22 @@ def test_hyperplane_canonicalization(comps, offset):
     assert np.linalg.norm(plane.normal) == pytest.approx(1.0, abs=1e-12)
     lead = plane.normal[np.flatnonzero(np.abs(plane.normal) > 1e-12)[0]]
     assert lead > 0
+
+
+def test_hyperplane_normal_of_any_scale():
+    # |n| is never squared unscaled: 1e300 overflowed to a zero normal and
+    # 1e-320 underflowed to "normal must be nonzero"
+    big = Hyperplane([1e300, 1e300], 1.0)
+    assert np.allclose(big.normal, [0.5**0.5] * 2, rtol=1e-15, atol=0)
+    assert big.offset == pytest.approx(0.5**0.5 * 1e-300, rel=1e-15)
+    tiny = Hyperplane([1e-320, 0.0], 1e-320)
+    assert np.array_equal(tiny.normal, [1.0, 0.0]) and tiny.offset == 1.0
+    plane = Hyperplane([3.0, -4.0, 12.0], 2.0)
+    for j in range(-1070, 1020, 10):
+        s = 2.0**j
+        scaled = Hyperplane(np.array([3.0, -4.0, 12.0]) * s, 2.0 * s)
+        assert np.array_equal(scaled.normal, plane.normal), j
+        assert scaled.offset == pytest.approx(plane.offset, rel=1e-15), j
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from confocalfit import (
     FlatSubspace,
     Hyperplane,
     NoSolution,
+    QuadricMember,
     WeightedPointSet,
     axial_moment,
     build_pencil,
@@ -338,6 +339,15 @@ def test_envelope_classification_bands():
     for i in range(4):
         result = envelope_for_moment(pencil, float(J[i]))
         assert isinstance(result, DegenerateHyperplane) and result.axis_index == i
+
+
+def test_envelope_classification_is_relative():
+    # moments scaled by 4^-505 sit far below an absolute floor of 1e-300
+    for s in (1.0, 2.0**-505):
+        pencil = build_pencil(WeightedPointSet(CELLS_XY * s))
+        J = pencil.principal_moments
+        assert isinstance(envelope_for_moment(pencil, J[1] * (1 + 1e-10)), QuadricMember)
+        assert isinstance(envelope_for_moment(pencil, J[1]), DegenerateHyperplane)
 
 
 def test_tangent_hyperplane_axis_point():

@@ -5,8 +5,13 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import dataclasses
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confocalfit import (
     FlatSubspace,
@@ -16,6 +21,7 @@ from confocalfit import (
     best_fit_flat,
     build_pencil,
     centroid,
+    constrained_fit,
     directional_fit,
     directional_moment,
     f_upper_tail,
@@ -196,11 +202,10 @@ def test_restricted_pca_near_a_focal_locus(k, offset):
         assert not res.lambdas.degenerate.any()
         d = res.directions
         assert np.abs(d.T @ d - np.eye(k)).max() <= 1e-12
-        # eigenvectors of A(P) summed from the points; the centroid is placed
-        # to about eps * offset, which bounds the agreement far out
+        # eigenvectors of A(P) summed from the points
         op = inertia_operator(ps, point).entries
         residual = np.abs(op @ d - d * res.moments).max() / res.moments.max()
-        assert residual <= 1e-13 + 1e-16 * offset
+        assert residual <= 1e-13
         for ell in range(1, k):
             best, worst = restricted_best_fit_flat(ps, point, ell)
             assert best.moment <= worst.moment
@@ -261,8 +266,7 @@ def test_restricted_fit_moment_identities():
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_restricted_flats_for_every_ell_from_one_solve(k, offset):
     # the oracle sums squared distances on the set moved back by the offset,
-    # so that it does not cancel itself; the centroid is placed to about
-    # eps * offset, which bounds the agreement far out
+    # so that it does not cancel itself
     rng = np.random.default_rng(60 + k)
     base = random_point_set(rng, k, n=40)
     ps = WeightedPointSet(base.coords + offset, base.masses)
@@ -282,7 +286,7 @@ def test_restricted_flats_for_every_ell_from_one_solve(k, offset):
             assert isinstance(fit.flat, Hyperplane) == (ell == k - 1)
             flat = fit.flat.as_flat() if isinstance(fit.flat, Hyperplane) else fit.flat
             oracle = l_planar_moment(local, FlatSubspace(point - offset, flat.basis))
-            assert fit.moment == pytest.approx(oracle, rel=1e-12 + 1e-16 * offset, abs=0)
+            assert fit.moment == pytest.approx(oracle, rel=1e-12, abs=0)
             assert fit.moment == pytest.approx(jacobi_sum, rel=1e-12, abs=0)
     for ell in (0, k):
         with pytest.raises(ValueError):
@@ -621,3 +625,126 @@ def test_nested_f_test_matches_direct_formula():
     assert report.statistic == pytest.approx(
         (rss1 - rss2) / (rss2 / (n - 2)), rel=1e-10
     )
+
+
+# ---------------------------------------------------------------------------
+# the set's summary, not its points
+# ---------------------------------------------------------------------------
+
+_COV = SymmetricOperator(np.array([[0.5, 0.1, 0.0], [0.1, 0.8, 0.2], [0.0, 0.2, 1.2]]))
+
+SUMMARY_QUERIES = {
+    "point_hypothesis_test": lambda ps, p, w: point_hypothesis_test(ps, p, _COV),
+    "restricted_pca": lambda ps, p, w: restricted_pca(ps, p),
+    "directional_fit": lambda ps, p, w: directional_fit(ps, w, through=p),
+    "nested_f_test": lambda ps, p, w: nested_f_test(ps, w, p),
+    "best_fit_flat": lambda ps, p, w: best_fit_flat(ps, 2),
+    "constrained_fit": lambda ps, p, w: constrained_fit(ps, "l2", 0.05),
+}
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    return a == b
+
+
+@pytest.mark.parametrize("query", SUMMARY_QUERIES.values(), ids=SUMMARY_QUERIES)
+def test_queries_read_the_summary_not_the_points(query):
+    # once the centred pass is cached, no query reads the points again
+    rng = np.random.default_rng(70)
+    ps = random_point_set(rng, 3, unit_masses=True)
+    point = ps.center + rng.normal(size=3)
+    w = random_unit_vector(rng, 3)
+    expected = query(WeightedPointSet(ps.coords, ps.masses), point, w)
+    ps.center, ps.centered_inertia, ps.spectrum  # the summary, cached
+    object.__setattr__(ps, "coords", np.full(ps.coords.shape, np.nan))
+    assert _same(query(ps, point, w), expected)
+
+
+def _far_set(unit_masses: bool) -> WeightedPointSet:
+    """40 points at k = 3 around (1e6, -2e6, 3e6), where the centroid's last
+    addition rounds by about 2e-10."""
+    base = random_point_set(np.random.default_rng(71), 3, n=40, unit_masses=unit_masses)
+    return WeightedPointSet(base.coords + [1e6, -2e6, 3e6], base.masses)
+
+
+def _scatter_at(ps: WeightedPointSet, point) -> mp.matrix:
+    """A(P) summed from the raw points in the working precision."""
+    k = ps.dim
+    a = mp.zeros(k, k)
+    for x, m in zip(ps.coords.tolist(), ps.masses.tolist()):
+        d = [mp.mpf(xi) - mp.mpf(pi) for xi, pi in zip(x, point)]
+        for i in range(k):
+            for j in range(k):
+                a[i, j] += m * d[i] * d[j]
+    return a
+
+
+def test_far_directional_moment_matches_a_50_digit_reference():
+    ps = _far_set(unit_masses=False)
+    w = [0.0, 1.0, 1.0]
+    point = ps.center + [1.0, 0.0, 0.0]
+    fit = directional_fit(ps, w, through=point)
+    with mp.workdps(50):
+        # min over n of n^T A n / (w.n)^2 is |w|^2 / (w^T A^-1 w)
+        wv = mp.matrix(w)
+        want = (wv.T * wv)[0] / (wv.T * mp.lu_solve(_scatter_at(ps, point), wv))[0]
+        error = float(abs(fit.moment - want) / want)
+    assert error <= 1e-15
+
+
+def test_far_point_test_statistic_matches_a_50_digit_reference():
+    ps = _far_set(unit_masses=True)
+    point = ps.center + [0.5, -0.3, 0.8]
+    report = point_hypothesis_test(ps, point, _COV)
+    with mp.workdps(50):
+        # the statistic is the smallest eigenvalue of W A(P) W over N - k + 1
+        vals, vecs = mp.eigsy(mp.matrix(_COV.entries.tolist()))
+        white = vecs * mp.diag([1 / mp.sqrt(v) for v in vals]) * vecs.T
+        smallest = min(mp.eigsy(white * _scatter_at(ps, point) * white)[0])
+        want = smallest / report.df1
+        error = float(abs(report.statistic - want) / want)
+    assert error <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# scale covariance: data scaled by 2^j is exact in floating point
+# ---------------------------------------------------------------------------
+
+# principal axes near the coordinate axes, so that P's far coordinate lies
+# along the thinnest one; ten unit masses keep m |P - c|^2 finite at 4^500
+_BASE = WeightedPointSet(np.random.default_rng(72).normal(size=(10, 3)) * [3.0, 1.0, 0.3])
+_FAR = _BASE.center + np.array([0.5, -0.3, 1e3])
+_W = np.array([0.3, 1.0, -0.6])
+_ULPS = 16 * np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(-500, 500))
+@example(j=-500)
+@example(j=500)
+def test_queries_through_a_point_scale_by_powers_of_two(j):
+    # moments scale by 4^j, directions and statistics not at all; LAPACK
+    # rescales operators outside its safe range by factors that are not
+    # powers of two, so a few ulps are allowed
+    s = 2.0**j
+    scaled = WeightedPointSet(_BASE.coords * s, _BASE.masses)
+    pca, scaled_pca = restricted_pca(_BASE, _FAR), restricted_pca(scaled, _FAR * s)
+    assert np.allclose(scaled_pca.moments, pca.moments * s * s, rtol=_ULPS, atol=0)
+    assert np.abs(scaled_pca.directions - pca.directions).max() <= _ULPS
+    assert np.array_equal(scaled_pca.tied, pca.tied)
+    fit = directional_fit(_BASE, _W, through=_FAR)
+    scaled_fit = directional_fit(scaled, _W, through=_FAR * s)
+    assert scaled_fit.moment == pytest.approx(fit.moment * s * s, rel=_ULPS, abs=0)
+    assert np.abs(scaled_fit.flat.normal - fit.flat.normal).max() <= _ULPS
+    cov = SymmetricOperator(_COV.entries * s * s)
+    statistic = point_hypothesis_test(_BASE, _FAR, _COV).statistic
+    scaled_statistic = point_hypothesis_test(scaled, _FAR * s, cov).statistic
+    assert scaled_statistic == pytest.approx(statistic, rel=_ULPS, abs=0)

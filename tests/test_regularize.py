@@ -147,6 +147,13 @@ def test_zero_coefficients_rejected():
         CoefficientVector(np.zeros(2))
 
 
+def test_coefficients_of_any_scale():
+    plane = CoefficientVector([1e300, 1e300]).hyperplane()
+    assert np.allclose(plane.normal, [0.5**0.5] * 2, rtol=1e-15, atol=0)
+    assert plane.offset == pytest.approx(0.5**0.5 * 1e-300, rel=1e-15)
+    assert CoefficientVector([1e-320, 0.0]).u[0] == 1e-320
+
+
 # ---------------------------------------------------------------------------
 # dual quadric
 # ---------------------------------------------------------------------------
