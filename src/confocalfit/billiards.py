@@ -23,7 +23,7 @@ from .errors import (
     NotEllipsoidType,
     UsageError,
 )
-from .geometry import FlatSubspace, _as_vector, _store, _unit
+from .geometry import FlatSubspace, _as_vector, _complement_basis, _store, _unit
 from .pencil import ConfocalPencil, QuadricMember, tangent_moment
 
 _ESCAPE_T = 1e-10
@@ -55,12 +55,6 @@ class CausticSet:
 
     def __post_init__(self) -> None:
         _store(self, "lambdas", self.lambdas)
-
-
-def _complement_basis(v: np.ndarray) -> np.ndarray:
-    k, ell = v.shape
-    q, _ = np.linalg.qr(np.column_stack([v, np.eye(k)]))
-    return q[:, ell:k]
 
 
 def _tangency_parameters(poles: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -115,7 +109,7 @@ def _bounce(p: np.ndarray, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np
         raise NoIntersection("ray does not meet the member")
     root = np.sqrt(disc)
     t = max((-b - root) / (2 * a), (-b + root) / (2 * a))
-    if t <= _ESCAPE_T:
+    if t <= _ESCAPE_T * np.sqrt(s.max()):
         raise NoIntersection("no forward intersection with the member")
     impact = p + t * v
     normal = impact / s
@@ -128,9 +122,9 @@ def reflect(ray: Ray, member: QuadricMember) -> Ray:
     """Billiard reflection of a ray off a pencil member.
 
     The impact point is the forward intersection of the ray with the member
-    (largest parameter beyond a small escape threshold, so a ray starting on
-    the boundary leaves its current impact point); the direction is mirrored
-    across the tangent hyperplane, preserving unit speed.
+    (largest parameter beyond ``_ESCAPE_T`` times the member's largest
+    semiaxis, so a ray on the boundary leaves its impact point); the
+    direction is mirrored across the tangent hyperplane, preserving unit speed.
     """
     pencil = member.pencil
     impact, v_out = _bounce(

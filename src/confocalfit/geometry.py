@@ -82,6 +82,12 @@ def _store(obj, name: str, value, dtype=float) -> np.ndarray:
     return value
 
 
+def _complement_basis(v: np.ndarray) -> np.ndarray:
+    k, ell = v.shape
+    q, _ = np.linalg.qr(np.column_stack([v, np.eye(k)]))
+    return q[:, ell:k]
+
+
 def _canonical_sign(v: np.ndarray, tol: float = UNIT_TOL) -> float:
     """Sign that makes the first non-negligible component of ``v`` positive."""
     for x in v:
@@ -94,13 +100,13 @@ def _canonical_sign(v: np.ndarray, tol: float = UNIT_TOL) -> float:
 class WeightedPointSet:
     """N points in R^k with positive masses (defaulting to 1 each).
 
-    ``coords`` is an (N, k) array in sample units.  The set owns its centered
-    spectrum, computed once on first use and read-only: ``center`` (the
-    centroid) with ``center_residual`` (what rounding it lost),
-    ``centered_inertia`` (the inertia operator about it) and ``spectrum``
-    (that operator's ``symmetric_eigen``).  Every fit, the pencil and the
-    full-rank check read these instead of recomputing them, and
-    ``offset_from_center`` forms every P - c from the first two.
+    ``coords`` is an (N, k) array in sample units.  The set owns its summary,
+    each value computed once on first use and read-only: ``total_mass``,
+    ``has_unit_masses``, ``center`` (the centroid) with ``center_residual``
+    (what rounding it lost), ``centered_inertia`` (the inertia operator about
+    it), ``spectrum`` (its ``symmetric_eigen``) and the pencil of
+    ``build_pencil``.  Every query reads these, so after the first none reads
+    ``coords`` or ``masses``; ``offset_from_center`` forms every P - c.
     The set is *full rank* when it does not lie in any hyperplane, measured
     by ``spectrum``.
     """
@@ -133,11 +139,11 @@ class WeightedPointSet:
     def dim(self) -> int:
         return self.coords.shape[1]
 
-    @property
+    @cached_property
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    @property
+    @cached_property
     def has_unit_masses(self) -> bool:
         return bool(np.all(self.masses == 1.0))
 
@@ -183,6 +189,11 @@ class WeightedPointSet:
     @cached_property
     def is_full_rank(self) -> bool:
         return _full_rank(self.spectrum.values)
+
+    @cached_property
+    def _pencil(self):
+        from .pencil import _pencil  # pencil imports this module
+        return _pencil(self.center, self.center_residual, self.spectrum, self.total_mass)
 
 
 def _offset(points, center: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -266,9 +277,7 @@ class Hyperplane:
 
     def as_flat(self) -> "FlatSubspace":
         """The same hyperplane as a (k-1)-dimensional flat."""
-        k = self.dim
-        q, _ = np.linalg.qr(np.column_stack([self.normal.reshape(k, 1), np.eye(k)]))
-        return FlatSubspace(self.offset * self.normal, q[:, 1:k])
+        return FlatSubspace(self.offset * self.normal, _complement_basis(self.normal[:, None]))
 
 
 @dataclass(frozen=True)

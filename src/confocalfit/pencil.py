@@ -200,8 +200,9 @@ class NoSolution:
 
 
 def build_pencil(ps: WeightedPointSet) -> ConfocalPencil:
-    """Construct the confocal family attached to a full-rank point set."""
-    return _pencil(ps.center, ps.center_residual, ps.spectrum, ps.total_mass)
+    """The confocal family of a full-rank point set: the set's one pencil,
+    built on the first call (a set without one raises on every call)."""
+    return ps._pencil
 
 
 def _pencil(

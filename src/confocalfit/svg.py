@@ -61,10 +61,8 @@ class _Frame:
         return float(np.linalg.norm(self.hi - self.lo))
 
 
-def _path(points_data: np.ndarray, frame: _Frame, css: str, segments=None) -> str:
+def _path(points_data: np.ndarray, frame: _Frame, css: str, segments) -> str:
     mapped = frame.map(points_data)
-    if segments is None:
-        segments = [range(len(mapped))]
     parts = []
     for seg in segments:
         op = "M"

@@ -45,6 +45,19 @@ FORBES_XY = np.array(
 # Jacobi coordinate scales by s^2, to rounding.
 SCALES = (1e-6, 1e3)
 
+# Data scaled by 2^j is exact in floating point, but LAPACK rescales an
+# operator outside its safe range by factors that are not powers of two, so
+# its eigenvalues move by a few ulps of the largest one.
+SCALE_ULPS = 64 * np.finfo(float).eps
+
+
+def assert_scaled(got, want, factor, scale=None):
+    """``got`` is ``want * factor`` to ``SCALE_ULPS`` of ``scale * factor``
+    (default: of the largest |entry| of ``want``)."""
+    want = np.asarray(want, dtype=float) * factor
+    scale = np.abs(want).max() if scale is None else scale * factor
+    assert np.abs(np.asarray(got, dtype=float) - want).max() <= SCALE_ULPS * scale
+
 
 @pytest.fixture
 def cells():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confocalfit import (
     ConfocalPencil,
@@ -27,7 +29,7 @@ from confocalfit.errors import (
     NotEllipsoidType,
 )
 
-from conftest import CELLS_XY, random_point_set, random_unit_vector
+from conftest import CELLS_XY, assert_scaled, random_point_set, random_unit_vector
 
 from test_pencil import pencil_with_poles, sample_point_on_member
 
@@ -111,6 +113,11 @@ def test_reflect_requires_forward_intersection():
     outward = Ray(pencil.from_principal(np.array([10.0, 0.0])), np.array([1.0, 0.0]))
     with pytest.raises(NoIntersection):
         reflect(outward, member)
+    # a line that misses the ellipse (semiaxes sqrt 8 and sqrt 5) altogether
+    passing = Ray(pencil.from_principal(np.array([-10.0, 10.0])), pencil.frame[:, 0])
+    with pytest.raises(NoIntersection) as info:
+        reflect(passing, member)
+    assert info.value.code == "no-intersection"
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +193,20 @@ def test_lines_through_a_planar_focus_touch_the_focal_member():
         assert lam[0] == pytest.approx(pencil.poles[1], abs=1e-9)
 
 
+def circular_section_direction(pencil: ConfocalPencil) -> np.ndarray:
+    """A direction, for k = 3, whose line through the centre has a repeated
+    tangency parameter."""
+    p1, p2, p3 = pencil.poles
+    s = np.sqrt((p1 - p2) / (p1 - p3))  # sin of the circular-section angle
+    return pencil.frame @ np.array([s, 0.0, np.sqrt(1 - s * s)])
+
+
 def test_degenerate_flat_rejected():
-    # a center line along a circular-section direction has a repeated
-    # tangency parameter and is refused
+    # a center line along a circular-section direction is refused
     rng = np.random.default_rng(87)
     ps = random_point_set(rng, 3)
     pencil = build_pencil(ps)
-    p1, p2, p3 = pencil.poles
-    s = np.sqrt((p1 - p2) / (p1 - p3))  # sin of the circular-section angle
-    direction = pencil.frame @ np.array([s, 0.0, np.sqrt(1 - s * s)])
-    line = FlatSubspace(pencil.center, direction[:, None])
+    line = FlatSubspace(pencil.center, circular_section_direction(pencil)[:, None])
     with pytest.raises(DegenerateFlat):
         caustics_of_flat(pencil, line)
 
@@ -408,6 +419,29 @@ def test_trajectory_far_from_the_origin_keeps_its_caustic():
         for r in rays
     ]
     assert np.ptp(values) <= 1e-10 * abs(values[0])
+
+
+def _cells_billiard(s: float) -> list[Ray]:
+    """Five bounces of a ray from the centroid of the cells data scaled by
+    ``s`` inside the member at -20 s^2."""
+    ps = WeightedPointSet(CELLS_XY * s)
+    member = build_pencil(ps).member(-20.0 * s * s)
+    return trajectory(member, Ray(ps.center, [1.0, 0.3]), 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(-500, 500))
+@example(j=-500)
+@example(j=500)
+def test_trajectory_scales_by_powers_of_two(j):
+    # points scale by 2^j and directions not at all; the escape threshold is
+    # relative to the member, so a tiny billiard still finds every impact
+    s = 2.0**j
+    rays, scaled = _cells_billiard(1.0), _cells_billiard(s)
+    assert len(scaled) == len(rays) == 6
+    for ray, scaled_ray in zip(rays, scaled):
+        assert_scaled(scaled_ray.point, ray.point, s)
+        assert_scaled(scaled_ray.direction, ray.direction, 1.0)
 
 
 def test_trajectory_rejects_non_ellipsoid_members():

@@ -22,6 +22,8 @@ from confocalfit.pencil import build_pencil
 from confocalfit.regularize import L1_MAX_DIM, constrained_fit
 from confocalfit.report import load_schema
 
+from conftest import random_point_set
+from test_billiards import circular_section_direction
 from test_geometry import _record_calls
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -340,6 +342,32 @@ def test_plot_refuses_3d(tmp_path):
     assert report["error"]["code"] in ("not-planar", "rank-deficient")
 
 
+def test_plot_requires_out(capsys):
+    assert main(["plot", CELLS, "--cols", "X,Y"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "plot requires --out" in err
+
+
+def test_billiard_on_a_degenerate_line_warns(tmp_path):
+    # the line of test_billiards.py::test_degenerate_flat_rejected: the run
+    # succeeds and reports its caustics as omitted
+    ps = random_point_set(np.random.default_rng(87), 3)
+    path = tmp_path / "cloud.csv"
+    table = np.column_stack([ps.coords, ps.masses]).tolist()
+    path.write_text("x,y,z,m\n" + "".join(",".join(map(repr, row)) + "\n" for row in table))
+    pencil = build_pencil(ps)
+    report = run_ok([
+        "billiard", str(path), "--cols", "x,y,z", "--mass-col", "m",
+        f"--member={float(pencil.poles[-1]) - 1.0!r}",
+        "--start=" + ",".join(map(repr, ps.center.tolist())),
+        "--dir=" + ",".join(map(repr, circular_section_direction(pencil).tolist())),
+        "--bounces", "3",
+    ])
+    assert len(report["warnings"]) == 1
+    assert report["warnings"][0].startswith("caustics omitted: ")
+    assert "caustics" not in report["billiard"] and len(report["billiard"]["rays"]) == 4
+
+
 def test_dataset_block_and_warnings_everywhere():
     report = run_ok(["pencil", CELLS, "--cols", "X,Y"])
     assert report["dataset"] == {"n": 5, "k": 2, "path": CELLS}
@@ -517,6 +545,9 @@ ARGUMENT_FAILURES = [
                  id="negative-bounces"),
     pytest.param(["regularize", "--cols", "X,Y", "--norm", "l2", "--bound", "0"],
                  "usage-error", "bound must be positive", id="zero-bound"),
+    pytest.param(["test-point", "--cols", "X,Y", "--at", "0,0", "--error-cov", "1,0"],
+                 "usage-error", "expected 3 upper-triangle entries for k=2",
+                 id="error-cov-length"),
     pytest.param(["fit", "--cols", "X,Y", "--ell", "0"], "bad-flat-dimension", "1 <= l <= k-1",
                  id="ell-0"),
     pytest.param(["fit", "--cols", "X,Y", "--ell", "2"], "bad-flat-dimension", "1 <= l <= k-1",

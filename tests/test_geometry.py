@@ -345,6 +345,9 @@ def test_directional_moment_parallel_direction_rejected():
     ps = WeightedPointSet(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(DirectionParallel):
         directional_moment(ps, plane, [0.0, 1.0])
+    with pytest.raises(DirectionParallel) as info:
+        directional_moment(ps, plane, [0.0, 0.0])
+    assert info.value.code == "direction-parallel"
 
 
 def test_directional_moment_dominates_hyperplanar():

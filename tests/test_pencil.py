@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confocalfit import (
     ConfocalPencil,
@@ -32,7 +34,14 @@ from confocalfit.errors import (
     RankDeficient,
 )
 
-from conftest import CELLS_XY, FORBES_XY, SCALES, random_point_set, random_unit_vector
+from conftest import (
+    CELLS_XY,
+    FORBES_XY,
+    SCALES,
+    assert_scaled,
+    random_point_set,
+    random_unit_vector,
+)
 
 
 def pencil_with_poles(alpha, beta):
@@ -119,6 +128,22 @@ def test_build_pencil_rejects_repeated_moments():
     ps = WeightedPointSet(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
     with pytest.raises(DegenerateSpectrum):
         build_pencil(ps)
+
+
+_SCALE_BASE = random_point_set(np.random.default_rng(74), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(-500, 500))
+@example(j=-500)
+@example(j=500)
+def test_build_pencil_scales_by_powers_of_two(j):
+    # poles and principal moments scale by 4^j, the frame not at all
+    pencil = build_pencil(_SCALE_BASE)
+    scaled = build_pencil(WeightedPointSet(_SCALE_BASE.coords * 2.0**j, _SCALE_BASE.masses))
+    assert_scaled(scaled.principal_moments, pencil.principal_moments, 4.0**j)
+    assert_scaled(scaled.poles, pencil.poles, 4.0**j)
+    assert_scaled(scaled.frame, pencil.frame, 1.0)
 
 
 def test_poles_strictly_decreasing_random():

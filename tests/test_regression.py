@@ -34,9 +34,24 @@ from confocalfit import (
     restricted_best_fit_flat,
     restricted_pca,
 )
-from confocalfit.errors import BadCovariance, BadDegrees, NonUnitMasses, RankDeficient
+from confocalfit import pencil as pencil_module
+from confocalfit.errors import (
+    BadCovariance,
+    BadDegrees,
+    ConfocalFitError,
+    NonUnitMasses,
+    RankDeficient,
+)
 
-from conftest import CELLS_XY, FORBES_XY, SCALES, random_point_set, random_unit_vector
+from conftest import (
+    CELLS_XY,
+    FORBES_XY,
+    SCALES,
+    assert_scaled,
+    random_point_set,
+    random_unit_vector,
+)
+from test_geometry import _record_calls
 
 
 def line_slope_intercept(plane: Hyperplane):
@@ -592,6 +607,9 @@ def test_point_hypothesis_validation(cells):
         point_hypothesis_test(
             cells, [0.0, 0.0], SymmetricOperator(np.diag([1.0, -1.0]))
         )
+    with pytest.raises(BadCovariance) as info:
+        point_hypothesis_test(cells, [0.0, 0.0], SymmetricOperator(np.eye(3)))
+    assert info.value.code == "bad-covariance"
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +629,13 @@ def test_nested_f_test_zero_on_the_line(forbes):
     x0 = 205.0
     report = nested_f_test(forbes, [0.0, 1.0], [x0, slope * x0 + intercept])
     assert report.statistic == pytest.approx(0.0, abs=1e-6)
+
+
+def test_nested_f_test_needs_more_points_than_parameters():
+    ps = WeightedPointSet([[0.0, 0.0], [1.0, 0.5]])
+    with pytest.raises(BadDegrees) as info:
+        nested_f_test(ps, [0.0, 1.0], [0.5, 1.0])
+    assert info.value.code == "bad-degrees"
 
 
 def test_nested_f_test_matches_direct_formula():
@@ -657,15 +682,37 @@ def _same(a, b) -> bool:
 
 @pytest.mark.parametrize("query", SUMMARY_QUERIES.values(), ids=SUMMARY_QUERIES)
 def test_queries_read_the_summary_not_the_points(query):
-    # once the centred pass is cached, no query reads the points again
+    # once the summary is cached, no query reads the points or masses again
     rng = np.random.default_rng(70)
     ps = random_point_set(rng, 3, unit_masses=True)
     point = ps.center + rng.normal(size=3)
     w = random_unit_vector(rng, 3)
     expected = query(WeightedPointSet(ps.coords, ps.masses), point, w)
-    ps.center, ps.centered_inertia, ps.spectrum  # the summary, cached
-    object.__setattr__(ps, "coords", np.full(ps.coords.shape, np.nan))
+    ps.center, ps.centered_inertia, ps.spectrum, ps.total_mass, ps.has_unit_masses
+    build_pencil(ps)
+    for name in ("coords", "masses"):
+        object.__setattr__(ps, name, np.full(getattr(ps, name).shape, np.nan))
     assert _same(query(ps, point, w), expected)
+
+
+def test_one_pencil_per_point_set(monkeypatch):
+    built = _record_calls(monkeypatch, (pencil_module, "_pencil"))
+    ps = random_point_set(np.random.default_rng(73), 4)
+    point = ps.center + 1.0
+    assert build_pencil(ps) is build_pencil(ps)
+    restricted_pca(ps, point)
+    for ell in range(1, ps.dim):
+        restricted_best_fit_flat(ps, point, ell)
+    jacobi_coordinates(build_pencil(ps), point)
+    assert len(built) == 1
+    # an exception is not cached: a set without a pencil raises on every call
+    flat = WeightedPointSet([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    tied = WeightedPointSet([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    for bad, code in ((flat, "rank-deficient"), (tied, "degenerate-spectrum")):
+        for _ in range(2):
+            with pytest.raises(ConfocalFitError) as info:
+                build_pencil(bad)
+            assert info.value.code == code
 
 
 def _far_set(unit_masses: bool) -> WeightedPointSet:
@@ -748,3 +795,30 @@ def test_queries_through_a_point_scale_by_powers_of_two(j):
     statistic = point_hypothesis_test(_BASE, _FAR, _COV).statistic
     scaled_statistic = point_hypothesis_test(scaled, _FAR * s, cov).statistic
     assert scaled_statistic == pytest.approx(statistic, rel=_ULPS, abs=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(-500, 500))
+@example(j=-500)
+@example(j=500)
+def test_fits_through_the_centroid_scale_by_powers_of_two(j):
+    # best_fit_flat and the CLI's fit path, restricted_pca at the centroid:
+    # moments scale by 4^j to a few ulps of the largest principal moment,
+    # normals and bases not at all
+    s = 2.0**j
+    scaled = WeightedPointSet(_BASE.coords * s, _BASE.masses)
+    top = _BASE.spectrum.values[-1]
+    for ell in range(1, _BASE.dim):
+        pairs = [
+            (best_fit_flat(_BASE, ell), best_fit_flat(scaled, ell)),
+            *zip(
+                restricted_pca(_BASE, _BASE.center).flats(ell),
+                restricted_pca(scaled, scaled.center).flats(ell),
+            ),
+        ]
+        for fit, scaled_fit in pairs:
+            assert_scaled(scaled_fit.moment, fit.moment, s * s, scale=top)
+            if ell == _BASE.dim - 1:
+                assert_scaled(scaled_fit.flat.normal, fit.flat.normal, 1.0)
+            else:
+                assert_scaled(scaled_fit.flat.basis, fit.flat.basis, 1.0)

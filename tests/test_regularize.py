@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confocalfit import (
     CoefficientVector,
@@ -18,7 +20,7 @@ from confocalfit import (
 from confocalfit.errors import L1DimensionTooLarge, NoEnvelope, ZeroVector
 from confocalfit.regularize import L1_MAX_DIM
 
-from conftest import CELLS_XY, FORBES_XY, random_point_set
+from conftest import CELLS_XY, FORBES_XY, assert_scaled, random_point_set
 
 from test_pencil import sample_point_on_member
 
@@ -373,12 +375,17 @@ def test_l2_hard_case():
         )
 
 
-def test_l1_zero_coordinates_are_off_the_face():
-    # a steep plane z = 5 + 0.4 x + 0.1 y: shrinking the L1 ball zeroes y, then x
-    rng = np.random.default_rng(72)
+def steep_plane(rng) -> WeightedPointSet:
+    """24 points near the steep plane z = 5 + 0.4 x + 0.1 y."""
     xy = rng.normal(size=(24, 2)) * [3.0, 2.0]
     z = 5.0 + 0.4 * xy[:, 0] + 0.1 * xy[:, 1] + 0.05 * rng.normal(size=24)
-    ps = WeightedPointSet(np.column_stack([xy, z]))
+    return WeightedPointSet(np.column_stack([xy, z]))
+
+
+def test_l1_zero_coordinates_are_off_the_face():
+    # shrinking the L1 ball zeroes y, then x
+    rng = np.random.default_rng(72)
+    ps = steep_plane(rng)
     c, s = centred_pieces(ps)
     for bound, zeros in ((0.2, (1,)), (0.15, (0, 1))):
         fit = assert_matches_sampled_minimum(ps, "l1", bound, rng)
@@ -390,6 +397,38 @@ def test_l1_zero_coordinates_are_off_the_face():
         w = np.sign(u[face]) / bound - c[face]
         form = s[np.ix_(face, face)] + ps.total_mass * np.outer(w, w)
         assert fit.moment == pytest.approx(np.linalg.eigvalsh(form)[0], rel=1e-9)
+
+
+_STEEP = steep_plane(np.random.default_rng(72))
+
+# (norm, bound, active, zero_coordinates) on _STEEP
+_STEEP_FITS = [
+    ("l1", 0.2, True, (1,)),
+    ("l1", 0.15, True, (0, 1)),
+    ("l2", 0.1, True, ()),
+    ("l1", 10.0, False, ()),
+    ("l2", 10.0, False, ()),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(-500, 500))
+@example(j=-500)
+@example(j=500)
+def test_constrained_fit_scales_by_powers_of_two(j):
+    # data scaled by 2^j and the bound by 2^-j: the moment scales by 4^j to a
+    # few ulps of the largest principal moment, the coefficients by 2^-j, and
+    # the same coordinates are zero
+    s = 2.0**j
+    scaled = WeightedPointSet(_STEEP.coords * s, _STEEP.masses)
+    for norm, bound, active, zeros in _STEEP_FITS:
+        fit = constrained_fit(_STEEP, norm, bound)
+        scaled_fit = constrained_fit(scaled, norm, bound / s)
+        assert (fit.active, fit.zero_coordinates) == (active, zeros)
+        assert (scaled_fit.active, scaled_fit.zero_coordinates) == (active, zeros)
+        top = max(_STEEP.spectrum.values[-1], fit.moment)
+        assert_scaled(scaled_fit.moment, fit.moment, s * s, scale=top)
+        assert_scaled(scaled_fit.coefficients.u, fit.coefficients.u, 1.0 / s)
 
 
 def test_l1_dimension_cap():
