@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -35,6 +36,12 @@ MAX_BOUNCES = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with "-" and a digit or ".", so "-1,2" and "-.5,1"
+        # are values (argparse takes only plain "-1" and "-.5" as numbers)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # noqa: D102 - argparse hook
         raise UsageError(message)
 

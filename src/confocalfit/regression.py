@@ -308,39 +308,32 @@ def restricted_best_fit_flat(
 def directional_fit(ps: WeightedPointSet, w, through=None) -> FitResult:
     """Least-squares hyperplane measured along direction ``w``.
 
-    The normal is proportional to ``J^{-1} w`` where J is the inertia
-    operator at the anchor (centroid, or ``through`` when given).  The
-    reported moment is the directional moment ``n^T J n / (w.n)^2`` of the
-    returned hyperplane, read from the same k x k operator; ``w.n`` is a
-    positive multiple of ``w^T J^{-1} w > 0``, so ``w`` never lies in the
-    plane.
+    At the anchor P (centroid, or ``through`` when given) the normal is
+    proportional to ``A(P)^{-1} w`` and the moment, the directional moment of
+    that hyperplane, is ``1 / (w^T A(P)^{-1} w)`` for unit ``w``.  With
+    ``A(c) = L L^T``, ``a = L^{-1} w``, ``b = sqrt(m) L^{-1} (P - c)`` and
+    ``M = a b^T - b a^T``, ``A(P) = L (I + b b^T) L^T``: the normal is
+    ``L^{-T} (a + M b)`` and the moment ``(1 + |b|^2) / (|a|^2 + |M|_F^2 / 2)``
+    (Lagrange's identity).  These are sums of squares and ``A(P)`` is never
+    formed, so ``A(c)`` is not rounded away however far P lies from c.
+    ``w^T A(P)^{-1} w > 0``, so ``w`` never lies in the plane.
     """
     require_full_rank(ps)
     w = _as_vector(w, ps.dim, "direction")
     if not w.any():
         raise DirectionDegenerate("direction vector is zero")
     w = _unit(w)
-    a_c, m = ps.centered_inertia.entries, ps.total_mass
     anchor = ps.center if through is None else _as_vector(through, ps.dim, "through")
-    d = ps.offset_from_center(anchor)
-    try:
-        # A(P) = A(c) + m (P - c)(P - c)^T; the normal is made a unit vector
-        # so that the moment's squares below stay in the float range
-        normal = _unit(np.linalg.solve(a_c + m * np.outer(d, d), w))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by rank check
-        raise DirectionDegenerate("inertia operator is singular") from exc
-    # n^T A(P) n as two non-negative terms: the summed operator rounds A(c)
-    # away when P is far from c.  The moment is stationary at this normal,
-    # so the solve's rounding enters it only to second order.
-    moment = (normal @ a_c @ normal + m * (d @ normal) ** 2) / (w @ normal) ** 2
+    # the rank check bounds cond(A(c)) by 1 / RANK_TOL, so the factor exists
+    chol = np.linalg.cholesky(ps.centered_inertia.entries)
+    a, d = np.linalg.solve(chol, np.column_stack([w, ps.offset_from_center(anchor)])).T
+    # a over its largest |component| keeps |a|^2 |b|^2 in the float range
+    scale = np.abs(a).max()
+    a, b = a / scale, math.sqrt(ps.total_mass) * d
+    cross = np.outer(a, b) - np.outer(b, a)
+    normal = _unit(np.linalg.solve(chol.T, a + cross @ b))
+    moment = (1.0 + b @ b) / (a @ a + 0.5 * np.sum(cross * cross)) / scale / scale
     return FitResult(Hyperplane.through(anchor, normal), float(moment), "best")
-
-
-def _inverse_sqrt(op: SymmetricOperator) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(op.entries)
-    if np.any(vals <= 0):
-        raise BadCovariance("error covariance must be positive definite")
-    return (vecs / np.sqrt(vals)) @ vecs.T
 
 
 def point_hypothesis_test(
@@ -348,28 +341,32 @@ def point_hypothesis_test(
 ) -> TestReport:
     """Test whether the best-fit hyperplane passes through ``point``.
 
-    Coordinates are whitened by ``W = error_cov^{-1/2}``; in whitened space
-    the statistic is ``N/(N-k+1) * (2 lambda_kC - lambda_kP)`` over the
+    Coordinates are whitened by ``L^{-1}``, ``error_cov = L L^T``; in whitened
+    space the statistic is ``N/(N-k+1) * (2 lambda_kC - lambda_kP)`` over the
     largest Jacobi coordinates of the centroid and of the point, and its null
     law is F with ``(N-k+1, inf)`` degrees of freedom.  The whitened set's
-    centred operator is ``W A(c) W`` and the point sits at ``W (P - c)`` from
-    its centroid, so the test reads the set's summary, not its points.
+    centred operator is ``L^{-1} A(c) L^{-T}``, a rotation of ``W A(c) W`` for
+    ``W = error_cov^{-1/2}``, and the point sits at ``L^{-1} (P - c)`` from its
+    centroid, so the test reads the set's summary, not its points.
     """
     if not ps.has_unit_masses:
         raise NonUnitMasses("the test statistic assumes unit masses")
     if error_cov.dim != ps.dim:
         raise BadCovariance("error covariance has the wrong dimension")
     p = _as_vector(point, ps.dim, "point")
-    white = _inverse_sqrt(error_cov)
-    spectrum_w = symmetric_eigen(SymmetricOperator(white @ ps.centered_inertia.entries @ white))
+    try:
+        chol = np.linalg.cholesky(error_cov.entries)
+    except np.linalg.LinAlgError as exc:
+        raise BadCovariance("error covariance must be positive definite") from exc
+    half = np.linalg.solve(chol, ps.centered_inertia.entries)
+    spectrum_w = symmetric_eigen(SymmetricOperator(np.linalg.solve(chol, half.T)))
     origin = np.zeros(ps.dim)
     pencil_w = _pencil(origin, origin, spectrum_w, ps.total_mass)
     lam_c = float(pencil_w.poles[0])  # the centroid's largest Jacobi coordinate, J_1/m
-    lam_p = jacobi_coordinates(pencil_w, white @ ps.offset_from_center(p)).largest
+    white_p = np.linalg.solve(chol, ps.offset_from_center(p))
+    lam_p = jacobi_coordinates(pencil_w, white_p).largest
     n, k = ps.n_points, ps.dim
     df1 = n - k + 1
-    if df1 < 1:
-        raise BadDegrees("need at least k points")
     statistic = n / df1 * (2 * lam_c - lam_p)
     return TestReport(
         statistic=float(statistic),

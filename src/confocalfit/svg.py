@@ -73,27 +73,29 @@ def _path(points_data: np.ndarray, frame: _Frame, css: str, segments) -> str:
 
 
 def _clip_line(normal: np.ndarray, offset: float, frame: _Frame):
-    """Endpoints of {<n,x>=p} clipped to the framed data rectangle."""
+    """Endpoints of {<n,x>=p} clipped to the framed data rectangle.
+
+    The clip runs in coordinates from the frame's lower corner, where the
+    rounding of a point on an edge is relative to the frame's span, not to
+    the data's distance from the origin.
+    """
     d = np.array([-normal[1], normal[0]])
-    q = offset * normal
+    span = frame.hi - frame.lo
+    q = (offset - normal @ frame.lo) * normal
+    tol = 1e-9 * span.max()
     ts = []
     for axis in (0, 1):
         if abs(d[axis]) > 1e-15:
-            for bound in (frame.lo[axis], frame.hi[axis]):
+            for bound in (0.0, span[axis]):
                 ts.append((bound - q[axis]) / d[axis])
     if not ts:
         return None
     pts = [q + t * d for t in ts]
-    inside = [
-        p
-        for p in pts
-        if frame.lo[0] - 1e-9 <= p[0] <= frame.hi[0] + 1e-9
-        and frame.lo[1] - 1e-9 <= p[1] <= frame.hi[1] + 1e-9
-    ]
+    inside = [p for p in pts if np.all((-tol <= p) & (p <= span + tol))]
     if len(inside) < 2:
         return None
     inside.sort(key=lambda p: (p[0], p[1]))
-    return inside[0], inside[-1]
+    return frame.lo + inside[0], frame.lo + inside[-1]
 
 
 def _line_element(normal, offset, frame: _Frame, css: str) -> str:

@@ -229,6 +229,20 @@ def test_directional_forbes_restricted_with_test():
     assert report["test"]["df2"] == 15
 
 
+def test_directional_through_a_far_point():
+    from confocalfit.report import dumps
+
+    # summing A(P) = A(c) + m d d^T at |d| = 1e10 rounded A(c) away, and the
+    # solve of the singular sum was reported as direction-degenerate
+    report = run_ok(
+        ["directional", CELLS, "--cols", "X,Y", "--dir", "0,1", "--through", "1e10,1e10"]
+    )
+    want = 8.6320652351144625  # 60-digit reference, summed from the CSV's points
+    assert report["fits"][0]["moment"] == pytest.approx(want, rel=1e-14)
+    assert report["test"]["restricted_moment"] == report["fits"][0]["moment"]
+    assert '"moment": 8.63206524' in dumps(report)
+
+
 def test_pca_command():
     report = run_ok(["pca", CELLS, "--cols", "X,Y", "--at", "0,0"])
     assert report["pca"]["moments"][0] == pytest.approx(5.071564, rel=1e-3)
@@ -346,6 +360,29 @@ def test_plot_requires_out(capsys):
     assert main(["plot", CELLS, "--cols", "X,Y"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "plot requires --out" in err
+
+
+# each vector option with a negative first component, the other options
+# given in the --opt=value form; run on cells mirrored through the origin
+NEGATIVE_VALUES = [
+    pytest.param(["pca"], "--at", "-1,2", id="at"),
+    pytest.param(["directional", "--dir=0,1"], "--through", "-1e3,-.5", id="through"),
+    pytest.param(["directional"], "--dir", "-0.6,0.8", id="dir"),
+    pytest.param(["pencil"], "--jacobi", "-1e-3,-.5", id="jacobi"),
+    pytest.param(["billiard", "--member", "-20", "--dir=-0.6,-0.8", "--bounces", "3"],
+                 "--start", "-12.7,-3.6", id="start"),
+]
+
+
+@pytest.mark.parametrize("argv, option, value", NEGATIVE_VALUES)
+def test_negative_vector_values_are_values(argv, option, value, tmp_path):
+    from confocalfit.report import dumps
+
+    mirrored = tmp_path / "mirrored.csv"
+    rows = (-parse_dataset(CELLS, cols=["X", "Y"]).values).tolist()
+    mirrored.write_text("X,Y\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    spaced = run_ok([*argv, str(mirrored), option, value])
+    assert dumps(spaced) == dumps(run_ok([*argv, str(mirrored), f"{option}={value}"]))
 
 
 def test_billiard_on_a_degenerate_line_warns(tmp_path):
@@ -552,6 +589,8 @@ ARGUMENT_FAILURES = [
                  id="ell-0"),
     pytest.param(["fit", "--cols", "X,Y", "--ell", "2"], "bad-flat-dimension", "1 <= l <= k-1",
                  id="ell-k"),
+    pytest.param(["fit", "--cols", "X,Y", "--ell", "-1"], "bad-flat-dimension", "1 <= l <= k-1",
+                 id="ell-negative"),
     *(pytest.param(_billiard("--member", repr(pole)), "member-on-pole",
                    "coincides with a pole", id=f"member-on-pole-{i}")
       for i, pole in enumerate(_CELLS_POLES)),

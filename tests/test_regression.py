@@ -610,6 +610,13 @@ def test_point_hypothesis_validation(cells):
     with pytest.raises(BadCovariance) as info:
         point_hypothesis_test(cells, [0.0, 0.0], SymmetricOperator(np.eye(3)))
     assert info.value.code == "bad-covariance"
+    with pytest.raises(BadCovariance, match="must be positive definite"):
+        point_hypothesis_test(cells, [0.0, 0.0], SymmetricOperator(np.diag([1.0, 0.0])))
+    # N = k - 1 points span at most k - 2 dimensions: rank deficient before
+    # the degrees of freedom N - k + 1 reach zero
+    too_few = WeightedPointSet(np.random.default_rng(58).normal(size=(2, 3)))
+    with pytest.raises(RankDeficient):
+        point_hypothesis_test(too_few, [0.0, 0.0, 0.0], SymmetricOperator(np.eye(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +752,30 @@ def test_far_directional_moment_matches_a_50_digit_reference():
         want = (wv.T * wv)[0] / (wv.T * mp.lu_solve(_scatter_at(ps, point), wv))[0]
         error = float(abs(fit.moment - want) / want)
     assert error <= 1e-15
+
+
+@pytest.mark.parametrize("k", (2, 3, 5))
+def test_far_directional_fit_matches_a_60_digit_reference(k):
+    # A(P) = A(c) + m d d^T summed in floats rounds A(c) away as |d| grows;
+    # the fit never forms it, so normal and moment stay exact to rounding
+    rng = np.random.default_rng(80 + k)
+    ps = random_point_set(rng, k, n=30, shift=1e3)
+    w = random_unit_vector(rng, k)
+    for distance in (1.0, 1e3, 1e6, 1e9, 1e12):
+        u = random_unit_vector(rng, k)
+        while abs(u @ w) > 0.9:
+            u = random_unit_vector(rng, k)
+        point = ps.center + distance * u
+        fit = directional_fit(ps, w, through=point)
+        with mp.workdps(60):
+            wv = mp.matrix(w.tolist())
+            wv /= mp.norm(wv)
+            x = mp.lu_solve(_scatter_at(ps, point.tolist()), wv)
+            moment = float(1 / (wv.T * x)[0])
+            normal = np.array([float(v) for v in x / mp.norm(x)])
+        normal *= np.sign(normal @ fit.flat.normal)
+        assert np.abs(fit.flat.normal - normal).max() <= 1e-14, distance
+        assert abs(fit.moment - moment) <= 1e-14 * moment, distance
 
 
 def test_far_point_test_statistic_matches_a_50_digit_reference():

@@ -10,6 +10,8 @@ from confocalfit.dataset import Dataset
 from confocalfit.errors import NotPlanar
 from confocalfit.svg import emit_svg
 
+from conftest import CELLS_XY
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 CELLS = str(DATA / "cells.csv")
 FORBES = str(DATA / "forbes.csv")
@@ -68,3 +70,16 @@ def test_not_planar_for_3d():
     ds = Dataset(("a", "b", "c"), np.eye(3) + 1.0, None, "inline")
     with pytest.raises(NotPlanar):
         emit_svg({"pencil": None}, ds)
+
+
+def test_fit_lines_far_from_the_origin(tmp_path):
+    # at 1e12 a boundary point of a line rounds by about eps * 1e12 = 2e-4;
+    # clipped against the frame in global coordinates, the worst line was
+    # dropped without a warning
+    shift = 1e12
+    shifted = tmp_path / "cells.csv"
+    rows = (CELLS_XY + shift).tolist()
+    shifted.write_text("X,Y\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    doc = render(tmp_path, [str(shifted), "--through", f"{shift!r},{shift!r}"])
+    assert doc.count('<line class="fit-best"') == 1
+    assert doc.count('<line class="fit-worst"') == 1
