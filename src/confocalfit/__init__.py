@@ -24,7 +24,6 @@ from .billiards import (  # noqa: E402 - after the thread setting
     higher_axial_moments,
     joachimsthal_2d,
     moment_via_caustics,
-    reflect,
     trajectory,
 )
 from .dataset import Dataset, parse_dataset

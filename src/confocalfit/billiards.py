@@ -3,11 +3,14 @@
 A generic l-dimensional flat is tangent to exactly k-l members of the
 confocal family.  Their parameters are computed exactly as the eigenvalues
 of the compressed symmetric matrix ``U^T (diag(poles) - p p^T) U``, where U
-spans the orthogonal complement of the flat's direction space and p is any
-point of the flat (the matrix does not depend on the choice).  Summing the
-tangent moments ``2 J_1 - m lambda`` over the caustics reproduces the
-l-planar moment of the flat, and billiard reflection preserves the caustic
-set, which yields the conservation laws checked in the test suite.
+spans the orthogonal complement of the flat's direction space and p is the
+flat's foot point, its point nearest the centre (in exact arithmetic any
+point of the flat gives the same matrix; a far one adds its rounding).
+Summing the tangent moments ``2 J_1 - m lambda`` over the caustics
+reproduces the l-planar moment of the flat, and billiard reflection
+preserves the caustic set, which yields the conservation laws checked in
+the test suite.  A billiard trajectory is one array of states, each a point
+and a unit direction.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def caustics_of_flat(pencil: ConfocalPencil, flat: FlatSubspace) -> CausticSet:
     """
     p = pencil.to_principal(flat.base_point)
     v = pencil.frame.T @ flat.basis
-    lam = _tangency_parameters(pencil.poles, p, v)
+    lam = _tangency_parameters(pencil.poles, p - v @ (v.T @ p), v)
     scale = max(float(np.abs(pencil.poles).max()), float(np.abs(lam).max()))
     if lam.size > 1 and np.min(np.diff(lam)) <= 1e-9 * scale:
         raise DegenerateFlat("tangency parameters are not simple roots")
@@ -105,7 +108,7 @@ def _bounce(p: np.ndarray, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np
     b = 2.0 * float(np.sum(p * v / s))
     c = float(np.sum(p * p / s)) - 1.0
     disc = b * b - 4 * a * c
-    if a == 0.0 or disc <= 0.0:
+    if disc <= 0.0:
         raise NoIntersection("ray does not meet the member")
     root = np.sqrt(disc)
     t = max((-b - root) / (2 * a), (-b + root) / (2 * a))
@@ -118,30 +121,19 @@ def _bounce(p: np.ndarray, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np
     return impact, v_out / np.linalg.norm(v_out)
 
 
-def reflect(ray: Ray, member: QuadricMember) -> Ray:
-    """Billiard reflection of a ray off a pencil member.
-
-    The impact point is the forward intersection of the ray with the member
-    (largest parameter beyond ``_ESCAPE_T`` times the member's largest
-    semiaxis, so a ray on the boundary leaves its impact point); the
-    direction is mirrored across the tangent hyperplane, preserving unit speed.
-    """
-    pencil = member.pencil
-    impact, v_out = _bounce(
-        pencil.to_principal(ray.point), pencil.frame.T @ ray.direction, member.semiaxes_sq
-    )
-    return Ray(pencil.from_principal(impact), pencil.frame @ v_out)
-
-
-def trajectory(member: QuadricMember, start: Ray, bounces: int) -> list[Ray]:
+def trajectory(member: QuadricMember, start: Ray, bounces: int) -> np.ndarray:
     """Billiard trajectory inside an ellipsoid-type member.
 
-    Returns ``bounces + 1`` rays: the starting ray followed by the state
-    after each reflection.  Raises ``NotEllipsoidType`` for unbounded
-    members and ``NoIntersection`` when the start lies outside.  The state
-    is carried in the principal frame, where the member is centred, and
-    each reported ray is converted back once; far from the origin a round
-    trip per bounce would add the offset's rounding to every step.
+    Returns one array of shape ``(bounces + 1, 2, k)``: row i holds the point
+    and the unit direction after i reflections, and row 0 is the start as
+    given.  Each impact is the forward intersection beyond ``_ESCAPE_T``
+    times the member's largest semiaxis, so a state on the boundary leaves
+    its impact point, and the direction is mirrored across the tangent
+    hyperplane there.  Raises ``NotEllipsoidType`` for unbounded members and
+    ``NoIntersection`` when the start lies outside.  The state is carried in
+    the principal frame, where the member is centred, and the rows are
+    converted back together at the end; far from the origin a round trip
+    per bounce would add the offset's rounding to every step.
     """
     if not member.is_ellipsoid:
         raise NotEllipsoidType("billiard domain must be an ellipsoid member")
@@ -150,12 +142,17 @@ def trajectory(member: QuadricMember, start: Ray, bounces: int) -> list[Ray]:
     if member.evaluate(start.point) > 1.0 + 1e-9:
         raise NoIntersection("start point lies outside the member")
     pencil, s = member.pencil, member.semiaxes_sq
+    states = np.empty((bounces + 1, 2, pencil.dim))
+    states[0] = start.point, start.direction
     p, v = pencil.to_principal(start.point), pencil.frame.T @ start.direction
-    rays = [start]
-    for _ in range(bounces):
+    for i in range(1, bounces + 1):
         p, v = _bounce(p, v, s)
-        rays.append(Ray(pencil.from_principal(p), pencil.frame @ v))
-    return rays
+        states[i] = p, v
+    # the rows of the points and directions are x^T, so frame @ x is x^T @ frame.T
+    moved = states[1:]
+    moved[:, 0] = pencil.center + (moved[:, 0] @ pencil.frame.T + pencil.center_residual)
+    moved[:, 1] = moved[:, 1] @ pencil.frame.T
+    return states
 
 
 def joachimsthal_2d(semiaxes_sq, ray: Ray) -> tuple[float, float]:
@@ -186,7 +183,6 @@ __all__ = [
     "caustics_of_flat",
     "moment_via_caustics",
     "higher_axial_moments",
-    "reflect",
     "trajectory",
     "joachimsthal_2d",
 ]

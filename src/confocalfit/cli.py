@@ -30,8 +30,9 @@ from .regularize import constrained_fit
 from .svg import emit_svg
 
 
-# Every ray of a billiard run is kept and written out (about 2 KB of memory
-# and 170 bytes of JSON per bounce), so ``--bounces`` is capped.
+# Every ray of a billiard run is kept and written out (about 2 KB of memory,
+# nearly all of it the report's lists of rounded floats, and 170 bytes of
+# JSON per bounce), so ``--bounces`` is capped.
 MAX_BOUNCES = 100_000
 
 
@@ -246,9 +247,7 @@ def _billiard_report(ds: Dataset, args) -> dict:
     block = {
         "member": lam,
         "bounces": args.bounces,
-        "rays": [
-            {"point": r.point.tolist(), "direction": r.direction.tolist()} for r in rays
-        ],
+        "rays": [{"point": p, "direction": d} for p, d in rays.tolist()],
     }
     try:
         block["caustics"] = caustics_of_flat(pencil, start.line()).lambdas.tolist()

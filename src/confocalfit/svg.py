@@ -37,7 +37,9 @@ class _Frame:
     def __init__(self, points: np.ndarray):
         lo = points.min(axis=0)
         hi = points.max(axis=0)
-        span = np.maximum(hi - lo, 1e-9)
+        span = hi - lo
+        # points on one axis-parallel line borrow the other axis's span
+        span = np.where(span > 0, span, span.max() or 1.0)
         margin = 0.1 * span
         lo = lo - margin
         hi = hi + margin

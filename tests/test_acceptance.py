@@ -222,7 +222,7 @@ def test_criterion_5_caustic_suite():
             )
         # 50-bounce 3D trajectory conserves caustics and higher moments
         member = pencil.member(float(pencil.poles[-1] - 0.8 * pencil.focal_scale() ** 2))
-        rays = trajectory(member, interior_ray(pencil, member, rng), 50)
+        rays = [Ray(*row) for row in trajectory(member, interior_ray(pencil, member, rng), 50)]
         base = caustics_of_flat(pencil, rays[0].line()).lambdas
         base_hm = higher_axial_moments(pencil, rays[0])
         scale = max(1.0, float(np.abs(base).max()))
@@ -238,8 +238,8 @@ def test_criterion_5_caustic_suite():
         semis = tuple(member2.semiaxes_sq)
         rays2 = trajectory(member2, interior_ray(pencil2, member2, rng), 50)
         values = []
-        for ray in rays2:
-            local = Ray(pencil2.to_principal(ray.point), pencil2.frame.T @ ray.direction)
+        for p, d in rays2:
+            local = Ray(pencil2.to_principal(p), pencil2.frame.T @ d)
             values.append(joachimsthal_2d(semis, local)[0])
         assert np.ptp(values) <= 1e-8 * max(1.0, np.abs(values).max())
 

@@ -1,5 +1,6 @@
 """Reflection, caustics, trajectories, and the conservation laws they obey."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,10 +19,10 @@ from confocalfit import (
     joachimsthal_2d,
     l_planar_moment,
     moment_via_caustics,
-    reflect,
     tangent_hyperplane,
     trajectory,
 )
+from confocalfit.billiards import _bounce
 from confocalfit.errors import (
     DegenerateFlat,
     InvalidSemiaxes,
@@ -53,6 +54,11 @@ def interior_ray(pencil, member, rng):
             return Ray(pencil.from_principal(x), rng.normal(size=pencil.dim))
 
 
+def reflected(ray, member):
+    """The ray after one reflection off the member: row 1 of its trajectory."""
+    return Ray(*trajectory(member, ray, 1)[1])
+
+
 # ---------------------------------------------------------------------------
 # reflection
 # ---------------------------------------------------------------------------
@@ -66,7 +72,7 @@ def test_normal_incidence_reverses_direction():
     outward = pencil.frame @ (pencil.to_principal(q) / member.semiaxes_sq)
     outward /= np.linalg.norm(outward)
     start = q - 0.05 * outward  # just inside, aimed along the impact normal
-    out = reflect(Ray(start, outward), member)
+    out = reflected(Ray(start, outward), member)
     assert np.allclose(out.point, q, atol=1e-9)
     assert np.allclose(out.direction, -outward, atol=1e-9)
 
@@ -77,7 +83,7 @@ def test_reflection_keeps_unit_speed_and_boundary_points():
     pencil = build_pencil(ps)
     member = pencil.member(float(pencil.poles[-1]) - 1.5)
     ray = interior_ray(pencil, member, rng)
-    out = reflect(ray, member)
+    out = reflected(ray, member)
     assert np.linalg.norm(out.direction) == pytest.approx(1.0, abs=1e-12)
     assert member.evaluate(out.point) == pytest.approx(1.0, abs=1e-9)
 
@@ -90,7 +96,7 @@ def test_reflection_preserves_caustics_3d():
     for _ in range(10):
         ray = interior_ray(pencil, member, rng)
         before = caustics_of_flat(pencil, ray.line()).lambdas
-        after = caustics_of_flat(pencil, reflect(ray, member).line()).lambdas
+        after = caustics_of_flat(pencil, reflected(ray, member).line()).lambdas
         scale = max(1.0, np.abs(before).max())
         assert np.abs(before - after).max() <= 1e-8 * scale
 
@@ -100,23 +106,24 @@ def test_chord_segments_share_the_2d_caustic():
     ps, pencil = pencil_with_poles(8.0, 5.0)
     member = pencil.member(0.0)
     ray = interior_ray(pencil, member, rng)
-    lams = [caustics_of_flat(pencil, ray.line()).lambdas[0]]
-    for _ in range(6):
-        ray = reflect(ray, member)
-        lams.append(caustics_of_flat(pencil, ray.line()).lambdas[0])
+    lams = [caustics_of_flat(pencil, Ray(*row).line()).lambdas[0]
+            for row in trajectory(member, ray, 6)]
     assert np.ptp(lams) <= 1e-9 * max(1.0, np.abs(lams).max())
 
 
-def test_reflect_requires_forward_intersection():
+def test_trajectory_requires_forward_intersection():
     ps, pencil = pencil_with_poles(8.0, 5.0)
     member = pencil.member(0.0)
-    outward = Ray(pencil.from_principal(np.array([10.0, 0.0])), np.array([1.0, 0.0]))
-    with pytest.raises(NoIntersection):
-        reflect(outward, member)
-    # a line that misses the ellipse (semiaxes sqrt 8 and sqrt 5) altogether
-    passing = Ray(pencil.from_principal(np.array([-10.0, 10.0])), pencil.frame[:, 0])
-    with pytest.raises(NoIntersection) as info:
-        reflect(passing, member)
+    # on the member (semiaxes sqrt 8 and sqrt 5), aimed outward
+    outward = Ray(pencil.from_principal(np.array([np.sqrt(8.0), 0.0])), pencil.frame[:, 0])
+    with pytest.raises(NoIntersection, match="no forward intersection"):
+        trajectory(member, outward, 1)
+    # just outside, within the start's tolerance, on a line that misses
+    passing = Ray(
+        pencil.from_principal(np.array([np.sqrt(8.0) * (1 + 1e-10), 0.0])), pencil.frame[:, 1]
+    )
+    with pytest.raises(NoIntersection, match="does not meet") as info:
+        trajectory(member, passing, 1)
     assert info.value.code == "no-intersection"
 
 
@@ -225,6 +232,44 @@ def test_caustic_simplicity_test_scales_with_the_poles():
         np.testing.assert_allclose(lam, caustics * f, rtol=1e-13, atol=0)
 
 
+def _caustics_60_digits(pencil, flat):
+    """Tangency parameters of a line from the same float inputs, at 60 digits:
+    the complement of its direction from a QR, with the given base point."""
+    k = pencil.dim
+    with mp.workdps(60):
+        frame = mp.matrix(pencil.frame.tolist())
+        offset = (mp.matrix(flat.base_point.tolist()) - mp.matrix(pencil.center.tolist())
+                  - mp.matrix(pencil.center_residual.tolist()))
+        p = frame.T * offset
+        v = frame.T * mp.matrix(flat.basis[:, 0].tolist())
+        v /= mp.norm(v)
+        cols = mp.eye(k)
+        cols[:, 0] = v
+        q, _ = mp.qr(cols)
+        u = q[:, 1:]
+        compressed = u.T * (mp.diag(pencil.poles.tolist()) - p * p.T) * u
+        return np.sort([float(x) for x in mp.eigsy(compressed, eigvals_only=True)])
+
+
+@pytest.mark.parametrize("k", (2, 3, 5))
+def test_caustics_do_not_depend_on_the_base_point(k):
+    # the same line, given by a base point slid t along it: the parameters
+    # come from its foot point, so only the far base point's own rounding,
+    # about eps t, is left
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        ps = random_point_set(rng, k)
+        pencil = build_pencil(ps)
+        base = ps.center + 0.3 * rng.normal(size=k)
+        direction = random_unit_vector(rng, k)
+        for t in (0.0, 1e2, 1e4, 1e6, 1e8):
+            flat = FlatSubspace(base + t * direction, direction[:, None])
+            lam = caustics_of_flat(pencil, flat).lambdas
+            want = _caustics_60_digits(pencil, flat)
+            scale = max(np.abs(want).max(), np.abs(pencil.poles).max())
+            assert np.abs(lam - want).max() <= 1e-15 * max(1.0, t) * scale, (seed, t)
+
+
 def test_principal_axis_line_moment_pattern():
     # the line along a principal axis has the coordinate hyperplanes as
     # degenerate caustics and moment equal to the complementary J sum
@@ -270,9 +315,9 @@ def test_moment_via_caustics_reflection_invariant():
     pencil = build_pencil(ps)
     member = pencil.member(float(pencil.poles[-1]) - 1.0)
     ray = interior_ray(pencil, member, rng)
-    reflected = reflect(ray, member)
+    after = reflected(ray, member)
     assert moment_via_caustics(pencil, ray.line()) == pytest.approx(
-        moment_via_caustics(pencil, reflected.line()), rel=1e-9
+        moment_via_caustics(pencil, after.line()), rel=1e-9
     )
 
 
@@ -296,9 +341,9 @@ def test_higher_moments_reflection_invariant():
     pencil = build_pencil(ps)
     member = pencil.member(float(pencil.poles[-1]) - 1.0)
     ray = interior_ray(pencil, member, rng)
-    reflected = reflect(ray, member)
+    after = reflected(ray, member)
     a = higher_axial_moments(pencil, ray)
-    b = higher_axial_moments(pencil, reflected)
+    b = higher_axial_moments(pencil, after)
     assert np.allclose(a, b, rtol=1e-8)
 
 
@@ -310,7 +355,7 @@ def test_lines_with_common_caustics_share_higher_moments():
     outer = pencil.member(float(pencil.poles[-1]) - 1.6)
     ray = interior_ray(pencil, inner, rng)
     # two reflections off different members keep the caustic set intact
-    other = reflect(reflect(ray, inner), outer)
+    other = reflected(reflected(ray, inner), outer)
     assert np.allclose(
         higher_axial_moments(pencil, ray),
         higher_axial_moments(pencil, other),
@@ -334,13 +379,10 @@ def test_joachimsthal_constant_along_trajectory():
     rng = np.random.default_rng(95)
     ps, pencil = pencil_with_poles(8.0, 5.0)
     member = pencil.member(0.0)
-    ray = interior_ray(pencil, member, rng)
-    local = Ray(pencil.to_principal(ray.point), pencil.frame.T @ ray.direction)
-    values = [joachimsthal_2d((8.0, 5.0), local)[0]]
-    for _ in range(10):
-        ray = reflect(ray, member)
-        local = Ray(pencil.to_principal(ray.point), pencil.frame.T @ ray.direction)
-        values.append(joachimsthal_2d((8.0, 5.0), local)[0])
+    values = [
+        joachimsthal_2d((8.0, 5.0), Ray(pencil.to_principal(p), pencil.frame.T @ d))[0]
+        for p, d in trajectory(member, interior_ray(pencil, member, rng), 10)
+    ]
     assert np.ptp(values) <= 1e-10
 
 
@@ -371,8 +413,7 @@ def test_two_periodic_major_axis_orbit():
     member = pencil.member(0.0)
     axis = pencil.frame[:, 0]
     start = Ray(pencil.center.copy(), axis)
-    rays = trajectory(member, start, 4)
-    dirs = np.array([r.direction @ axis for r in rays])
+    dirs = trajectory(member, start, 4)[:, 1] @ axis
     assert np.allclose(np.abs(dirs), 1.0, atol=1e-10)
     assert np.allclose(dirs[1:], np.array([-1.0, 1.0, -1.0, 1.0]) * dirs[0], atol=1e-10)
 
@@ -383,7 +424,7 @@ def test_trajectory_2d_conserves_caustic():
     member = pencil.member(-1.0)
     start = interior_ray(pencil, member, rng)
     rays = trajectory(member, start, 50)
-    lams = [caustics_of_flat(pencil, r.line()).lambdas[0] for r in rays]
+    lams = [caustics_of_flat(pencil, Ray(*row).line()).lambdas[0] for row in rays]
     assert np.ptp(lams) <= 1e-8 * max(1.0, np.abs(lams).max())
 
 
@@ -393,7 +434,7 @@ def test_trajectory_3d_conserves_caustics_and_higher_moments():
     pencil = build_pencil(ps)
     member = pencil.member(float(pencil.poles[-1]) - 1.0)
     start = interior_ray(pencil, member, rng)
-    rays = trajectory(member, start, 20)
+    rays = [Ray(*row) for row in trajectory(member, start, 20)]
     base_caustics = caustics_of_flat(pencil, rays[0].line()).lambdas
     base_moments = higher_axial_moments(pencil, rays[0])
     for ray in rays[1:]:
@@ -412,16 +453,13 @@ def test_trajectory_far_from_the_origin_keeps_its_caustic():
     member = pencil.member(-20.0)
     rays = trajectory(member, Ray(np.array([12.7, 3.6]) + 1e6, [0.6, 0.8]), 20_000)
     values = [
-        joachimsthal_2d(
-            member.semiaxes_sq,
-            Ray(pencil.to_principal(r.point), pencil.frame.T @ r.direction),
-        )[0]
-        for r in rays
+        joachimsthal_2d(member.semiaxes_sq, Ray(pencil.to_principal(p), pencil.frame.T @ d))[0]
+        for p, d in rays
     ]
     assert np.ptp(values) <= 1e-10 * abs(values[0])
 
 
-def _cells_billiard(s: float) -> list[Ray]:
+def _cells_billiard(s: float) -> np.ndarray:
     """Five bounces of a ray from the centroid of the cells data scaled by
     ``s`` inside the member at -20 s^2."""
     ps = WeightedPointSet(CELLS_XY * s)
@@ -439,9 +477,30 @@ def test_trajectory_scales_by_powers_of_two(j):
     s = 2.0**j
     rays, scaled = _cells_billiard(1.0), _cells_billiard(s)
     assert len(scaled) == len(rays) == 6
-    for ray, scaled_ray in zip(rays, scaled):
-        assert_scaled(scaled_ray.point, ray.point, s)
-        assert_scaled(scaled_ray.direction, ray.direction, 1.0)
+    for (point, direction), (scaled_point, scaled_direction) in zip(rays, scaled):
+        assert_scaled(scaled_point, point, s)
+        assert_scaled(scaled_direction, direction, 1.0)
+
+
+def test_trajectory_is_one_array_of_states():
+    # the README billiard on the cells data moved by +1e6: the rows, converted
+    # together, match a conversion after every bounce to 4 ulps of the offset
+    ps = WeightedPointSet(CELLS_XY + 1e6)
+    pencil = build_pencil(ps)
+    member = pencil.member(-20.0)
+    start = Ray(np.array([12.7, 3.6]) + 1e6, [0.6, 0.8])
+    rays = trajectory(member, start, 2_000)
+    assert rays.shape == (2_001, 2, 2)
+    assert rays[0].tobytes() == np.stack([start.point, start.direction]).tobytes()
+    assert np.abs(np.linalg.norm(rays[:, 1], axis=1) - 1.0).max() <= 1e-15
+    p, v = pencil.to_principal(start.point), pencil.frame.T @ start.direction
+    want = [(start.point, start.direction)]
+    for _ in range(2_000):
+        p, v = _bounce(p, v, member.semiaxes_sq)
+        want.append((pencil.from_principal(p), pencil.frame @ v))
+    want = np.array(want)
+    assert np.abs(rays[:, 0] - want[:, 0]).max() <= 4 * np.spacing(1e6)
+    assert np.abs(rays[:, 1] - want[:, 1]).max() <= 4 * np.spacing(1.0)
 
 
 def test_trajectory_rejects_non_ellipsoid_members():

@@ -8,7 +8,7 @@ import pytest
 from confocalfit.cli import run_command
 from confocalfit.dataset import Dataset
 from confocalfit.errors import NotPlanar
-from confocalfit.svg import emit_svg
+from confocalfit.svg import HEIGHT, PAD, emit_svg
 
 from conftest import CELLS_XY
 
@@ -83,3 +83,33 @@ def test_fit_lines_far_from_the_origin(tmp_path):
     doc = render(tmp_path, [str(shifted), "--through", f"{shift!r},{shift!r}"])
     assert doc.count('<line class="fit-best"') == 1
     assert doc.count('<line class="fit-worst"') == 1
+
+
+def _circles(doc):
+    return np.array(
+        [
+            [float(line.split('cx="')[1].split('"')[0]), float(line.split('cy="')[1].split('"')[0])]
+            for line in doc.splitlines()
+            if line.startswith("<circle")
+        ]
+    )
+
+
+def test_tiny_data_fills_the_view(tmp_path):
+    # the frame scales with the data: cells scaled by 1e-12 land where the
+    # unscaled cells do
+    scaled = tmp_path / "cells.csv"
+    rows = (CELLS_XY * 1e-12).tolist()
+    scaled.write_text("X,Y\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    want = _circles(render(tmp_path, [CELLS, "--cols", "X,Y", "--through", "0,0"]))
+    got = _circles(render(tmp_path, [str(scaled), "--through", "0,0"]))
+    assert got.shape == want.shape == (6, 2)
+    assert np.abs(got - want).max() <= 1e-3
+
+
+def test_points_on_a_vertical_line_are_spread_along_it():
+    # a zero span on one axis takes the other's, so the view stays finite
+    ds = Dataset(("a", "b"), np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 5.0]]), None, "inline")
+    xy = _circles(emit_svg({}, ds))
+    assert np.all(xy[:, 0] == 400.0)
+    assert xy[:, 1].min() == pytest.approx(PAD + 0.1 / 1.2 * (HEIGHT - 2 * PAD))
