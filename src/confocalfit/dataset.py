@@ -2,16 +2,21 @@
 
 The header row is read with ``csv``; the body is loaded in one
 ``np.loadtxt`` pass over every column, and the finiteness and positive-mass
-checks run on the arrays.  Whatever that pass does not accept -- quoted
-cells, rows of blank cells, text, empty or non-finite cells, non-positive
-masses, rows of the wrong width -- falls back to the per-cell path, which
-is the one source of every error message.
+checks run on the arrays.  ``loadtxt`` is given the file's absolute path and
+the number of lines the header read consumed: numpy reads a path in chunks,
+where it would iterate an open handle line by line in Python.  Whatever that
+pass does not accept -- quoted cells, rows of blank cells, text, empty or
+non-finite cells, non-positive masses, rows of the wrong width, a file whose
+name numpy takes for a compressed one -- falls back to the per-cell path,
+which is the one source of every error message.  Either path freezes the
+arrays it has made, and the ``Dataset`` keeps them without a copy.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +24,9 @@ import numpy as np
 
 from .errors import EmptyDataset, ParseError
 from .geometry import WeightedPointSet, _store
+
+# suffixes of the names that np.lib._datasource opens as compressed files
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,17 @@ class Dataset:
 
     def point_set(self) -> WeightedPointSet:
         return WeightedPointSet(self.values, self.masses)
+
+
+def _dataset(
+    cols: list[str], values: np.ndarray, masses: np.ndarray | None, path: str
+) -> Dataset:
+    """A Dataset of arrays a parser has just made: they are frozen here, so
+    ``Dataset`` shares them instead of copying them again."""
+    values.setflags(write=False)
+    if masses is not None:
+        masses.setflags(write=False)
+    return Dataset(tuple(cols), values, masses, path)
 
 
 def _parse_cell(raw: str, row: int, column: str) -> float:
@@ -101,18 +120,35 @@ def _parse_vectorized(
 ) -> Dataset | None:
     """One ``np.loadtxt`` pass over the body; None where ``_parse_cells`` must decide.
 
+    ``loadtxt`` is given the path, not the open handle: it reads a handle
+    line by line in Python but a path in chunks.  It skips the physical lines
+    that the ``csv`` read of the header consumed (``reader.line_num``, which
+    counts the lines of a quoted name with a line break, and the blank rows
+    before the header).  numpy opens a path through ``np.lib._datasource``,
+    which fetches a URL-like string such as ``http://host/d.csv`` and
+    decompresses a name ending in one of ``_COMPRESSED``.  So the path is
+    made absolute, which is never taken for a URL, and ``loadtxt`` is called
+    only after ``open`` has read the header from it; a name numpy would
+    decompress goes to the per-cell path.
+
     Files with quoted cells, rows of blank cells, rows of another width,
     text, non-finite selected cells or masses <= 0 fall through, and so does
     any error: the per-cell path then gives the same arrays or the same
     exception.
     """
+    if os.path.splitext(path)[1] in _COMPRESSED:
+        return None
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = (row for row in csv.reader(handle) if row and any(c.strip() for c in row))
+            reader = csv.reader(handle)
+            rows = (row for row in reader if row and any(c.strip() for c in row))
             header = [name.strip() for name in next(rows)]
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns on an empty body
-                body = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on an empty body
+            body = np.loadtxt(
+                os.path.abspath(path), delimiter=",", comments=None, ndmin=2,
+                skiprows=reader.line_num, encoding="utf-8",
+            )
         cols, picked, mass_at = _select(header, cols, mass_col)
     # unreadable or empty files, unparsable cells, ragged rows, the empty-body
     # warning and header errors: the per-cell path reports each of them
@@ -120,7 +156,8 @@ def _parse_vectorized(
         return None
     if body.shape[1] != len(header):
         return None
-    values = np.ascontiguousarray(body[:, picked])
+    # every column in header order is the body itself: no second N x k array
+    values = body if picked == list(range(len(header))) else body.take(picked, axis=1)
     if not np.isfinite(values).all():
         return None
     masses = None
@@ -128,7 +165,7 @@ def _parse_vectorized(
         masses = np.ascontiguousarray(body[:, mass_at])
         if not (np.isfinite(masses).all() and (masses > 0).all()):
             return None
-    return Dataset(tuple(cols), values, masses, path)
+    return _dataset(cols, values, masses, path)
 
 
 def _parse_cells(path: str, cols: list[str] | None, mass_col: str | None) -> Dataset:
@@ -167,4 +204,4 @@ def _parse_cells(path: str, cols: list[str] | None, mass_col: str | None) -> Dat
             bad = int(np.flatnonzero(masses <= 0)[0])
             raise ParseError(f"row {bad + 2}, column {mass_col!r}: mass must be positive")
 
-    return Dataset(tuple(cols), values, masses, path)
+    return _dataset(cols, values, masses, path)

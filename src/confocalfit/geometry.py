@@ -16,8 +16,9 @@ caller can still write to is kept.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -36,6 +37,12 @@ _RANK_DEFICIENT = "point set lies in a hyperplane within tolerance"
 # Absolute-per-scale tolerances for structural invariants.
 SYMMETRY_TOL = 1e-12
 UNIT_TOL = 1e-12
+
+# Rows per block of the sums over the points (centroid, inertia operator):
+# their temporaries stay at _BLOCK x k, and adding the block sums in order
+# keeps each rounding chain to about _BLOCK + N / _BLOCK terms instead of N
+# (blocked summation, as in Chan, Golub & LeVeque 1979).
+_BLOCK = 4096
 
 
 def _as_vector(x, k: int | None = None, name: str = "vector") -> np.ndarray:
@@ -80,6 +87,13 @@ def _store(obj, name: str, value, dtype=float) -> np.ndarray:
         value.setflags(write=False)
     object.__setattr__(obj, name, value)
     return value
+
+
+def _block_sum(n: int, term) -> np.ndarray:
+    """``term(rows)`` summed over the consecutive row slices of ``_BLOCK`` rows
+    that cover ``range(n)``, in order.  For ``n <= _BLOCK`` that is
+    ``term(slice(0, _BLOCK))`` itself, the same expression over every row."""
+    return reduce(operator.add, (term(slice(s, s + _BLOCK)) for s in range(0, n, _BLOCK)))
 
 
 def _complement_basis(v: np.ndarray) -> np.ndarray:
@@ -149,9 +163,12 @@ class WeightedPointSet:
 
     @cached_property
     def _centroid(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(center, center_residual)`` from one pass over the points."""
+        """``(center, center_residual)`` from one pass over the points, summed
+        in row blocks of ``_BLOCK``: no N x k offset array is formed."""
         ref = self.coords[0]
-        offset = self.masses @ (self.coords - ref) / self.total_mass
+        offset = _block_sum(
+            self.n_points, lambda rows: self.masses[rows] @ (self.coords[rows] - ref)
+        ) / self.total_mass
         c = ref + offset
         # TwoSum (Knuth): ref + offset == c + residual exactly
         back = c - ref
@@ -341,10 +358,17 @@ def centroid(ps: WeightedPointSet) -> np.ndarray:
 
 
 def inertia_operator(ps: WeightedPointSet, origin) -> SymmetricOperator:
-    """Second-moment operator about ``origin``:  sum_j m_j (r_j-O)(r_j-O)^T."""
+    """Second-moment operator about ``origin``:  sum_j m_j (r_j-O)(r_j-O)^T.
+
+    The sum runs in row blocks of ``_BLOCK``, so its temporaries are
+    ``_BLOCK`` x k however large N is."""
     origin = _as_vector(origin, ps.dim, "origin")
-    d = ps.coords - origin
-    return SymmetricOperator((d * ps.masses[:, None]).T @ d)
+
+    def block(rows: slice) -> np.ndarray:
+        d = ps.coords[rows] - origin
+        return (d * ps.masses[rows, None]).T @ d
+
+    return SymmetricOperator(_block_sum(ps.n_points, block))
 
 
 def hyperplanar_moment(ps: WeightedPointSet, plane: Hyperplane) -> float:

@@ -1,6 +1,7 @@
 """Core geometry: moments, inertia operators, eigendecomposition."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -74,29 +75,36 @@ def test_centroid_far_from_origin():
     assert np.abs(centroid(WeightedPointSet(x)) - expected).max() <= 4 * np.spacing(1e6)
 
 
+def _far_weighted_set(rng, n):
+    x = rng.normal(size=(n, 3)) + [1e6, -2e6, 3e6]
+    return WeightedPointSet(x, rng.uniform(0.5, 2.0, size=n))
+
+
 def test_centroid_residual_keeps_what_the_rounding_lost():
+    # one block, and three blocks plus 17 rows of the blocked sums
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(40, 3)) + [1e6, -2e6, 3e6]
-    ps = WeightedPointSet(x, rng.uniform(0.5, 2.0, size=40))
-    masses = [Fraction(m) for m in ps.masses]
-    exact = [
-        sum(m * Fraction(v) for m, v in zip(masses, col)) / sum(masses) for col in x.T
-    ]
-    point = ps.center + [1.0, -0.5, 0.25]
-    got = ps.offset_from_center(point)
-    for i in range(3):
-        assert abs(Fraction(ps.center[i]) + Fraction(ps.center_residual[i]) - exact[i]) <= 1e-14
-        assert abs(Fraction(got[i]) - (Fraction(point[i]) - exact[i])) <= 1e-14
-    assert np.array_equal(ps.offset_from_center(np.stack([point, point])), [got, got])
-    # the pencil's frame change takes the residual in both ways: a point
-    # placed from principal coordinates is rounded once, at the end
-    pencil = build_pencil(ps)
-    frame = [[Fraction(f) for f in row] for row in pencil.frame]
-    for x in rng.normal(size=(8, 3)):
-        placed = pencil.from_principal(x)
+    for n in (40, 3 * geometry._BLOCK + 17):
+        ps = _far_weighted_set(rng, n)
+        masses = [Fraction(m) for m in ps.masses]
+        exact = [
+            sum(m * Fraction(v) for m, v in zip(masses, col)) / sum(masses)
+            for col in ps.coords.T.tolist()
+        ]
+        point = ps.center + [1.0, -0.5, 0.25]
+        got = ps.offset_from_center(point)
         for i in range(3):
-            want = exact[i] + sum(f * Fraction(v) for f, v in zip(frame[i], x))
-            assert abs(Fraction(placed[i]) - want) <= abs(np.spacing(placed[i])) / 2 + 1e-14
+            assert abs(Fraction(ps.center[i]) + Fraction(ps.center_residual[i]) - exact[i]) <= 1e-14
+            assert abs(Fraction(got[i]) - (Fraction(point[i]) - exact[i])) <= 1e-14
+        assert np.array_equal(ps.offset_from_center(np.stack([point, point])), [got, got])
+        # the pencil's frame change takes the residual in both ways: a point
+        # placed from principal coordinates is rounded once, at the end
+        pencil = build_pencil(ps)
+        frame = [[Fraction(f) for f in row] for row in pencil.frame]
+        for x in rng.normal(size=(8, 3)):
+            placed = pencil.from_principal(x)
+            for i in range(3):
+                want = exact[i] + sum(f * Fraction(v) for f, v in zip(frame[i], x))
+                assert abs(Fraction(placed[i]) - want) <= abs(np.spacing(placed[i])) / 2 + 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +137,53 @@ def test_inertia_operator_shift_identity():
     shifted = inertia_operator(ps, c).entries + ps.total_mass * np.outer(c - p, c - p)
     assert np.allclose(inertia_operator(ps, p).entries, direct)
     assert np.allclose(shifted, direct, rtol=1e-12, atol=1e-9 * np.abs(direct).max())
+
+
+def test_blocked_inertia_matches_an_exact_reference():
+    # A(c) = S2 - S1 S1^T / S0 in exact sums, on three blocks plus 17 rows far
+    # from the origin.  The bound on each entry is 4e-15 sqrt(A_ii A_jj): on
+    # seeds 2-7 of this set the blocked sums read at most 2.0e-15 of that
+    # scale (9.4e-16 on seed 2), one sum over all rows at most 4.1e-15
+    ps = _far_weighted_set(np.random.default_rng(2), 3 * geometry._BLOCK + 17)
+    m = [Fraction(v) for v in ps.masses.tolist()]
+    cols = [[Fraction(v) for v in col] for col in ps.coords.T.tolist()]
+    s0 = sum(m)
+    s1 = [sum(a * b for a, b in zip(m, col)) for col in cols]
+    got = ps.centered_inertia.entries
+    exact = [
+        [sum(a * b * d for a, b, d in zip(m, cols[i], cols[j])) - s1[i] * s1[j] / s0
+         for j in range(3)]
+        for i in range(3)
+    ]
+    for i in range(3):
+        for j in range(3):
+            scale = float(exact[i][i] * exact[j][j]) ** 0.5
+            assert abs(float(Fraction(got[i, j]) - exact[i][j])) <= 4e-15 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, geometry._BLOCK])
+def test_one_block_sums_are_the_one_shot_expressions(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 3)) * [1.0, 3.0, 9.0] + 1e6
+    masses = rng.uniform(0.5, 2.0, size=n)
+    ps = WeightedPointSet(x, masses)
+    ref = x[0]
+    c = ref + masses @ (x - ref) / masses.sum()
+    d = x - c
+    a = SymmetricOperator((d * masses[:, None]).T @ d).entries
+    assert ps.center.tobytes() == c.tobytes()
+    assert ps.centered_inertia.entries.tobytes() == a.tobytes()
+
+
+def test_the_summary_allocates_no_n_by_k_array():
+    ps = WeightedPointSet(np.random.default_rng(3).normal(size=(100_000, 3)) + 1e6)
+    tracemalloc.start()
+    try:
+        ps.spectrum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ps.coords.nbytes
 
 
 # ---------------------------------------------------------------------------
