@@ -16,6 +16,7 @@ caller can still write to is kept.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -51,7 +52,7 @@ def _as_vector(x, k: int | None = None, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
     if k is not None and v.shape[0] != k:
         raise ValueError(f"{name} must have length {k}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
@@ -266,16 +267,23 @@ class Hyperplane:
     offset: float
 
     def __post_init__(self) -> None:
-        given = _as_vector(self.normal, name="normal")
+        given = np.asarray(self.normal, dtype=float)
+        if given.ndim != 1:
+            raise ValueError(f"normal must be one-dimensional, got shape {given.shape}")
         i = int(np.abs(given).argmax())
         top = float(given[i])
+        # argmax meets a nan or an infinity first: this is the finiteness check
+        if not math.isfinite(top):
+            raise ValueError("normal contains non-finite entries")
         if top == 0.0:
             raise ValueError("hyperplane normal must be nonzero")
         n = _unit(given)
         # n_i / given_i is 1/|given| for every i; the largest is the most exact
         p = float(self.offset) / top * float(n[i])
-        s = _canonical_sign(n)
-        _store(self, "normal", s * n)
+        s = _canonical_sign(n.tolist())
+        n = n if s > 0 else -n
+        n.setflags(write=False)  # a new array: stored as it is
+        _store(self, "normal", n)
         object.__setattr__(self, "offset", s * p)
 
     @property
@@ -284,8 +292,8 @@ class Hyperplane:
 
     @classmethod
     def through(cls, point, normal) -> "Hyperplane":
-        point = _as_vector(point)
-        normal = _as_vector(normal, point.shape[0])
+        point = _as_vector(point, name="point")
+        normal = _as_vector(normal, point.shape[0], "normal")
         return cls(normal, float(normal @ point))
 
     def signed_distance(self, points) -> np.ndarray:
@@ -315,8 +323,10 @@ class FlatSubspace:
         k, ell = basis.shape
         if not 1 <= ell <= k - 1:
             raise ValueError("flat dimension must satisfy 1 <= l <= k-1")
-        gram = basis.T @ basis
-        if np.abs(gram - np.eye(ell)).max() > UNIT_TOL:
+        gram = (basis.T @ basis).tolist()
+        # written so that a nan entry fails it too
+        if not all(abs(g - (r == c)) <= UNIT_TOL
+                   for r, row in enumerate(gram) for c, g in enumerate(row)):
             raise ValueError("basis columns must be orthonormal")
 
     @property

@@ -18,9 +18,11 @@ and, as eigenvectors, the normals there of the members through it.  Each
 root is found apart, in its interlacing bracket, as an offset from the
 nearer pole, so no ``p_i - lambda`` cancels, by a safeguarded rational
 iteration (Bunch, Nielsen & Sorensen 1978; Li 1994, the "middle way" of
-LAPACK ``dlaed4``) that stops when it has converged.  The normals use ``x``
-recomputed from the roots (Gu & Eisenstat 1995) to stay orthonormal near
-the poles.
+LAPACK ``dlaed4``) that stops when it has converged.  Its first evaluation,
+at the bracket's midpoint, both picks the nearer pole and serves as the
+first step.  The normals use ``x`` recomputed from the roots (Gu & Eisenstat
+1995) to stay orthonormal near the poles.  A point's k-sized work (the
+deflation, the roots, the normals and their order) runs on Python floats.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .geometry import (
     _full_rank,
     _offset,
     _store,
-    _unit,
 )
 
 # Relative gap below which two principal moments count as equal (the pencil
@@ -102,7 +103,7 @@ class ConfocalPencil:
 
     def focal_scale(self) -> float:
         """Length scale of the focal set, sqrt((J_k - J_1)/m)."""
-        return float(np.sqrt(self.poles[0] - self.poles[-1]))
+        return math.sqrt(self.poles[0] - self.poles[-1])
 
     def attach_points(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The k-1 symmetric point pairs determining the family.
@@ -231,7 +232,10 @@ def _secular_root(z: list[float], p: list[float], j: int) -> tuple[float, float,
     ``[p_0 - 2 sum(z), p_0]``: at its left end every term is below 1/2
     whatever the data's units.  The root is sought as an offset ``tau`` from
     the end pole that the midpoint shows to be nearer (root 0 has only its
-    upper one), so no ``p_i - lam`` cancels.
+    upper one), so no ``p_i - lam`` cancels.  The first step's evaluation,
+    at the midpoint as an offset from ``p_j``, is the one that shows it: a
+    root in the lower half moves its origin to ``p_(j-1)`` and goes on from
+    that evaluation.
 
     Each step evaluates g = psi + phi - 1 at ``tau`` (psi and phi: the terms
     of the poles left and right of the root) with both derivatives, shrinks
@@ -248,15 +252,11 @@ def _secular_root(z: list[float], p: list[float], j: int) -> tuple[float, float,
     ``_MAX_STEPS`` only guards.  Returns ``(origin, tau, steps)``, the root
     being origin + tau.
     """
-    if j == 0:
-        upper, width = True, 2.0 * sum(z)
-    else:
-        width = p[j] - p[j - 1]
-        upper = sum(zi / ((pi - p[j]) + 0.5 * width) for zi, pi in zip(z, p)) < 1.0
-    origin = p[j] if upper else p[j - 1]
+    width = p[j] - p[j - 1] if j else 2.0 * sum(z)
+    upper, origin = True, p[j]
     d = [pi - origin for pi in p]
     left, right = list(zip(z[:j], d[:j])), list(zip(z[j:], d[j:]))
-    lo, hi = (-width, 0.0) if upper else (0.0, width)
+    lo, hi = -width, 0.0
     # g sums k + 1 terms, each rounded twice, and psi <= 0 <= phi, so
     # tol * (phi - psi + 1) bounds its rounding error
     tol = (len(p) + 2) * _EPS
@@ -278,6 +278,13 @@ def _secular_root(z: list[float], p: list[float], j: int) -> tuple[float, float,
             phi += t
             dr_dphi += t * (dr / gap)
         g = psi + phi - 1.0
+        if steps == 1 and j and g >= 0.0:
+            # the root is in the lower half, nearer p_(j-1): measure from it;
+            # D_l = -width/2 and D_r = width/2 whichever end is the origin
+            upper, origin = False, p[j - 1]
+            d = [pi - origin for pi in p]
+            left, right = list(zip(z[:j], d[:j])), list(zip(z[j:], d[j:]))
+            lo, hi, tau = 0.0, width, 0.5 * width
         converged = abs(g) <= tol * (phi - psi + 1.0)
         if not converged:
             if g < 0.0:
@@ -315,16 +322,18 @@ def _secular_root(z: list[float], p: list[float], j: int) -> tuple[float, float,
     return origin, tau, _MAX_STEPS
 
 
-def _secular_roots(x2: np.ndarray, poles_desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _secular_roots(x2, poles_desc) -> tuple[np.ndarray, np.ndarray]:
     """All roots of sum_i x2_i/(p_i - lam) = 1 for strictly positive x2.
 
+    ``x2`` and the descending ``poles_desc`` are float sequences or arrays.
     Solves for each root apart with ``_secular_root``.  Returns the ascending
     roots and the (pole, root) differences ``p_i - lam_j``, which do not
     cancel.
     """
-    p, z = poles_desc[::-1].tolist(), x2[::-1].tolist()
-    origin, tau = np.array([_secular_root(z, p, j)[:2] for j in range(len(p))]).T
-    return origin + tau, (poles_desc[:, None] - origin) - tau
+    p, z = [float(v) for v in reversed(poles_desc)], [float(v) for v in reversed(x2)]
+    found = [_secular_root(z, p, j)[:2] for j in range(len(p))]
+    diff = [[(pi - origin) - tau for origin, tau in found] for pi in reversed(p)]
+    return np.array([origin + tau for origin, tau in found]), np.array(diff)
 
 
 def jacobi_coordinates(pencil: ConfocalPencil, point) -> JacobiCoordinates:
@@ -334,31 +343,43 @@ def jacobi_coordinates(pencil: ConfocalPencil, point) -> JacobiCoordinates:
     are treated as exact zeros: the corresponding pole is emitted as a
     degenerate coordinate with its principal axis as normal, and the secular
     equation is deflated.  The other normals are ``x_i/(p_i - lam)`` with
-    ``x`` recomputed from the roots by the Loewner formula.
+    ``x`` recomputed from the roots by the Loewner formula.  The k-sized
+    work runs on Python floats; only the normals' lengths are numpy's.
     """
-    x = pencil.to_principal(point)
+    x, poles = pencil.to_principal(point).tolist(), pencil.poles.tolist()
+    k = len(x)
     # the 1e-6 * |x| term keeps the threshold a few ulps above the rounding
     # noise of the frame change for far-away points without swallowing
     # genuinely small coordinates
-    scale = max(pencil.focal_scale(), 1e-6 * float(np.linalg.norm(x)))
-    zero = np.abs(x) < COORD_TOL * scale
-    k, nz = pencil.dim, int(zero.sum())
-    values, normals = np.empty(k), np.zeros((k, k))
-    values[:nz] = pencil.poles[zero]
-    normals[zero, :nz] = np.eye(nz)
-    if nz < k:
-        poles = pencil.poles[~zero]
-        roots, diff = _secular_roots(x[~zero] ** 2, poles)
+    tol = COORD_TOL * max(pencil.focal_scale(), 1e-6 * math.hypot(*x))
+    zero = [abs(xi) < tol for xi in x]
+    live = [i for i in range(k) if not zero[i]]
+    # (value, degenerate, normal) of each coordinate
+    coords = [(poles[i], True, [float(r == i) for r in range(k)]) for i in range(k) if zero[i]]
+    if live:
+        p = [poles[i] for i in live]
+        roots, diff = _secular_roots([x[i] * x[i] for i in live], p)
         # x_i^2 = prod_j (p_i - lam_j) / prod_(l != i) (p_i - p_l), pairing
         # each pole with the root just below it so every ratio is O(1)
-        gaps = poles[:, None] - poles
-        np.fill_diagonal(gaps, 1.0)
-        x_hat = np.copysign(np.sqrt(np.prod(diff[:, ::-1] / gaps, axis=1)), x[~zero])
-        vectors = x_hat[:, None] / diff
-        values[nz:] = roots
-        normals[~zero, nz:] = _unit(vectors)
-    order = np.argsort(values, kind="stable")
-    return JacobiCoordinates(values[order], (np.arange(k) < nz)[order], normals[:, order])
+        vectors = []
+        for i, row in enumerate(diff.tolist()):
+            prod = 1.0
+            for l, dl in enumerate(reversed(row)):
+                prod *= dl / (p[i] - p[l] if l != i else 1.0)
+            x_hat = math.copysign(math.sqrt(prod), x[live[i]])
+            vectors.append([x_hat / dl for dl in row])
+        # each column over its largest |entry|, then over its length (``_unit``)
+        top = [max(map(abs, column)) for column in zip(*vectors)]
+        vectors = [[v / t for v, t in zip(row, top)] for row in vectors]
+        lengths = np.hypot.reduce(vectors, axis=0).tolist()
+        for j, lam in enumerate(roots.tolist()):
+            normal = [0.0] * k
+            for i, row in zip(live, vectors):
+                normal[i] = row[j] / lengths[j]
+            coords.append((lam, False, normal))
+    coords.sort(key=lambda c: c[0])
+    lambdas, degenerate, normals = zip(*coords)
+    return JacobiCoordinates(lambdas, degenerate, list(zip(*normals)))
 
 
 # ---------------------------------------------------------------------------

@@ -280,14 +280,13 @@ def restricted_pca(ps: WeightedPointSet, point) -> RestrictedPcaResult:
     p = _as_vector(point, ps.dim, "point")
     pencil = build_pencil(ps)
     lambdas = jacobi_coordinates(pencil, p)
-    mu = 2 * pencil.principal_moments[0] - pencil.mass * lambdas.lambdas[::-1]
+    two_j1 = 2 * float(pencil.principal_moments[0])
+    mu = [two_j1 - pencil.mass * lam for lam in reversed(lambdas.lambdas.tolist())]
     directions = pencil.frame @ lambdas.normals[:, ::-1]
-    directions *= [_canonical_sign(v) for v in directions.T]
-    gaps = np.diff(mu)
-    tied = np.zeros(ps.dim, dtype=bool)
-    close = gaps <= TIE_TOL * mu[-1]
-    tied[:-1] |= close
-    tied[1:] |= close
+    directions *= [_canonical_sign(v) for v in directions.T.tolist()]
+    directions.setflags(write=False)  # a new array: the result keeps it
+    close = [b - a <= TIE_TOL * mu[-1] for a, b in zip(mu, mu[1:])]
+    tied = [left or right for left, right in zip([False, *close], [*close, False])]
     return RestrictedPcaResult(directions, mu, lambdas, tied, p)
 
 
@@ -300,7 +299,9 @@ def restricted_best_fit_flat(
     members carrying P's largest k-l Jacobi coordinates; equivalently it is
     spanned by the eigenvectors of the l largest point-inertia moments.  The
     moments are ``2(k-l) J_1 - m * sum(lambda)`` over the respective index
-    sets.
+    sets.  Each call solves P's secular equation again: for several l at
+    one point, keep ``restricted_pca(ps, point)`` and call its ``flats(ell)``,
+    one solve for all of them.
     """
     return restricted_pca(ps, point).flats(ell)
 

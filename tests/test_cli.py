@@ -258,6 +258,67 @@ def test_pca_far_from_the_data_reports_the_pencil_moment():
     assert round_floats(report)["pca"]["moments"][0] == 0.808619028
 
 
+# the power of the length unit each report key carries; the rest are unitless
+_LENGTH_POWER = {
+    "center": 1, "point": 1, "point_principal": 1, "offset": 1,
+    "poles": 2, "principal_moments": 2, "lambdas": 2, "moment": 2, "moments": 2,
+}
+
+
+def _scaled_back(value, factor, power=0):
+    """``value`` with every number of a key in ``_LENGTH_POWER`` divided by
+    ``factor`` to that key's power."""
+    if isinstance(value, dict):
+        return {key: _scaled_back(v, factor, _LENGTH_POWER.get(key, power))
+                for key, v in value.items()}
+    if isinstance(value, list):
+        return [_scaled_back(v, factor, power) for v in value]
+    if isinstance(value, float):
+        return value / factor**power
+    return value
+
+
+def _assert_close(got, want, rel):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_close(got[key], want[key], rel)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_close(g, w, rel)
+    elif isinstance(want, float):
+        assert abs(got - want) <= rel * abs(want), (got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("j", (-200, 200))
+@pytest.mark.parametrize("command", (["fit", "--through"], ["pca", "--at"]))
+def test_reports_scale_by_powers_of_two(command, j, tmp_path, capsys):
+    # the cells data and the point scaled by 2^j give the same report with
+    # lengths scaled by 2^j and moments by 4^j.  Each value is written as
+    # repr(x * 2^j), which reads back exactly, but the report rounds every
+    # number to nine significant digits in decimal, and the nine digits of
+    # x * 2^j are not 2^j times those of x: each printed value moves by up
+    # to half a unit in its ninth digit, so two of them may differ by
+    # 1e-8 of their size
+    s = 2.0**j
+    values = parse_dataset(CELLS, cols=["X", "Y"]).values
+    reports = []
+    for factor in (1.0, s):
+        path = tmp_path / f"cells-{factor!r}.csv"
+        rows = (values * factor).tolist()
+        path.write_text("X,Y\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        point = ",".join(repr(v * factor) for v in (10.0, 2.5))
+        assert main([command[0], str(path), command[1], point]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["dataset"]["path"]
+        reports.append(report)
+    plain, scaled = reports
+    _assert_close(_scaled_back(scaled, s), plain, rel=1e-8)
+
+
 def test_pencil_command_with_jacobi():
     report = run_ok(["pencil", FORBES, "--jacobi", "201.5,24.5"])
     assert report["pencil"]["poles"][1] == pytest.approx(-39.69441, rel=1e-3)

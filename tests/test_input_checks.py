@@ -48,12 +48,16 @@ INPUT_CHECKS = {
                             ValueError, "entries must be a square matrix"),
     "zero-normal": (lambda tmp: Hyperplane([0.0, 0.0], 1.0),
                     ValueError, "hyperplane normal must be nonzero"),
+    "normal-non-finite": (lambda tmp: Hyperplane([2.0, np.nan, 1.0], 1.0),
+                          ValueError, "normal contains non-finite entries"),
     "basis-shape": (lambda tmp: FlatSubspace(_ORIGIN, np.ones((2, 1))),
                     ValueError, "basis must be a (k, l) array of columns"),
     "flat-dimension": (lambda tmp: FlatSubspace(_ORIGIN, np.eye(3)),
                        ValueError, "flat dimension must satisfy 1 <= l <= k-1"),
     "basis-not-orthonormal": (lambda tmp: FlatSubspace(_ORIGIN, [[1.0], [1.0], [0.0]]),
                               ValueError, "basis columns must be orthonormal"),
+    "basis-nan": (lambda tmp: FlatSubspace(_ORIGIN, [[np.nan], [0.0], [0.0]]),
+                  ValueError, "basis columns must be orthonormal"),
     "axial-plane": (lambda tmp: axial_moment(
                         WeightedPointSet(np.eye(3)), FlatSubspace(_ORIGIN, np.eye(3)[:, :2])),
                     ValueError, "axial moment requires a one-dimensional flat"),

@@ -1,5 +1,6 @@
 """Confocal pencil construction, Jacobi coordinates, envelopes, threads."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +34,7 @@ from confocalfit.errors import (
     PointNotOnQuadric,
     RankDeficient,
 )
+from confocalfit.pencil import COORD_TOL
 
 from conftest import (
     CELLS_XY,
@@ -42,6 +44,7 @@ from conftest import (
     random_point_set,
     random_unit_vector,
 )
+from test_secular import EPS, reference
 
 
 def pencil_with_poles(alpha, beta):
@@ -268,6 +271,49 @@ def test_jacobi_degenerate_on_principal_hyperplane():
     assert jc.degenerate.sum() == 1
     degenerate_value = jc.lambdas[jc.degenerate][0]
     assert degenerate_value == pytest.approx(pencil.poles[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("n_zero", (1, 2))
+@pytest.mark.parametrize("offset", (0.0, 1e6))
+@pytest.mark.parametrize("k", (4, 5, 6))
+def test_deflation_keeps_every_coordinate_in_its_place(k, offset, n_zero):
+    # one or two principal coordinates exactly zero, next to coordinates a
+    # few COORD_TOL above the threshold: each zero must come out as its own
+    # pole with its own axis, and the rest as the deflated problem's roots
+    rng = np.random.default_rng([k, n_zero, int(offset)])
+    poles = np.cumsum(rng.uniform(0.5, 1.5, k))[::-1]
+    frame, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    pencil = ConfocalPencil(offset + rng.normal(size=k), frame, 2 * poles[0] - poles, 1.0, poles)
+    order = rng.permutation(k)
+    zero, small = sorted(order[:n_zero]), order[n_zero:n_zero + 2]
+    x = rng.normal(size=k) * 2.0
+    x[zero] = 0.0
+    x[small] = 4 * COORD_TOL * pencil.focal_scale() * rng.choice([-1.0, 1.0], size=2)
+    point = pencil.from_principal(x)
+    jc = jacobi_coordinates(pencil, point)
+    dead = np.flatnonzero(jc.degenerate)
+    assert len(dead) == n_zero
+    # degenerate values are the poles themselves, ascending with the rest
+    assert sorted(jc.lambdas[dead]) == sorted(poles[zero])
+    for c in dead:
+        (i,) = np.flatnonzero(poles == jc.lambdas[c])
+        assert np.array_equal(jc.normals[:, c], np.eye(k)[i])
+    # the others: the roots of the deflated problem, as the solver saw it
+    live = [i for i in range(k) if i not in zero]
+    xs = pencil.to_principal(point)
+    exact, exact_diff, _ = reference(xs[live] ** 2, poles[live])
+    top = float(np.abs(poles).max())
+    for j, c in enumerate(np.flatnonzero(~jc.degenerate)):
+        want = exact[j]
+        assert float(abs(mp.mpf(float(jc.lambdas[c])) - want)) <= 5e-16 * max(top, abs(float(want)))
+        # its normal is x_i / (p_i - lam) over the live axes, zero on the others
+        assert not jc.normals[zero, c].any()
+        v = np.array([float(mp.mpf(float(xs[i])) / exact_diff[r][j]) for r, i in enumerate(live)])
+        v /= np.linalg.norm(v)
+        n = jc.normals[live, c]
+        assert np.abs(n - np.copysign(1.0, n @ v) * v).max() <= 4 * k * EPS
+    assert np.all(np.diff(jc.lambdas) >= 0)
+    assert np.abs(jc.normals.T @ jc.normals - np.eye(k)).max() <= 4 * k * EPS
 
 
 def test_jacobi_far_point_stability():
