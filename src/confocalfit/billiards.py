@@ -10,7 +10,8 @@ Summing the tangent moments ``2 J_1 - m lambda`` over the caustics
 reproduces the l-planar moment of the flat, and billiard reflection
 preserves the caustic set, which yields the conservation laws checked in
 the test suite.  A billiard trajectory is one array of states, each a point
-and a unit direction.
+and a unit direction.  Every function takes its flats, rays and states in
+the data's own coordinates.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateFlat,
-    InvalidSemiaxes,
-    NoIntersection,
-    NotEllipsoidType,
-    UsageError,
-)
+from .errors import DegenerateFlat, NoIntersection, NotEllipsoidType, UsageError
 from .geometry import FlatSubspace, _as_vector, _complement_basis, _store, _unit
 from .pencil import ConfocalPencil, QuadricMember, tangent_moment
 
@@ -60,13 +55,6 @@ class CausticSet:
         _store(self, "lambdas", self.lambdas)
 
 
-def _tangency_parameters(poles: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Eigenvalue form of the tangency condition; ``v`` has orthonormal columns."""
-    u = _complement_basis(v)
-    compressed = u.T @ (np.diag(poles) - np.outer(p, p)) @ u
-    return np.sort(np.linalg.eigvalsh(compressed))
-
-
 def caustics_of_flat(pencil: ConfocalPencil, flat: FlatSubspace) -> CausticSet:
     """The k-l members tangent to the flat.
 
@@ -77,7 +65,10 @@ def caustics_of_flat(pencil: ConfocalPencil, flat: FlatSubspace) -> CausticSet:
     """
     p = pencil.to_principal(flat.base_point)
     v = pencil.frame.T @ flat.basis
-    lam = _tangency_parameters(pencil.poles, p - v @ (v.T @ p), v)
+    foot = p - v @ (v.T @ p)
+    u = _complement_basis(v)
+    # the eigenvalue form of the tangency condition; eigvalsh sorts ascending
+    lam = np.linalg.eigvalsh(u.T @ (np.diag(pencil.poles) - np.outer(foot, foot)) @ u)
     scale = max(float(np.abs(pencil.poles).max()), float(np.abs(lam).max()))
     if lam.size > 1 and np.min(np.diff(lam)) <= 1e-9 * scale:
         raise DegenerateFlat("tangency parameters are not simple roots")
@@ -110,8 +101,8 @@ def _bounce(p: np.ndarray, v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np
     disc = b * b - 4 * a * c
     if disc <= 0.0:
         raise NoIntersection("ray does not meet the member")
-    root = np.sqrt(disc)
-    t = max((-b - root) / (2 * a), (-b + root) / (2 * a))
+    # a > 0, so the larger root takes +sqrt(disc)
+    t = (-b + np.sqrt(disc)) / (2 * a)
     if t <= _ESCAPE_T * np.sqrt(s.max()):
         raise NoIntersection("no forward intersection with the member")
     impact = p + t * v
@@ -155,24 +146,28 @@ def trajectory(member: QuadricMember, start: Ray, bounces: int) -> np.ndarray:
     return states
 
 
-def joachimsthal_2d(semiaxes_sq, ray: Ray) -> tuple[float, float]:
-    """Conserved billiard quantity in the ellipse x^2/a + y^2/b = 1, plus the
-    caustic parameter it encodes.
+def joachimsthal_2d(member: QuadricMember, ray: Ray) -> tuple[float, float]:
+    """Joachimsthal's conserved billiard quantity F in a planar ellipse
+    member, and the caustic parameter ``a b F``, measured from the member.
 
-    For a unit-speed state (x, v) the invariant is
+    With the member x^2/a + y^2/b = 1 (a > b > 0) in the principal frame and
+    the unit-speed state (x, v) of the original-frame ``ray`` moved there,
 
         F = v_x^2/a + v_y^2/b - (v_x y - v_y x)^2 / (a b),
 
-    and the line through the state is tangent to the confocal conic with
-    parameter ``lambda_0 = a b F``.
+    and the line through the state is tangent to the pencil member at
+    ``member.lam + a b F``.  Raises ``ValueError`` for a member that is not
+    planar and ``NotEllipsoidType`` for a hyperbola.
     """
-    a, b = (float(t) for t in semiaxes_sq)
-    if not (a > b > 0):
-        raise InvalidSemiaxes("need ellipse semiaxes a > b > 0")
-    if ray.point.shape[0] != 2:
-        raise ValueError("joachimsthal_2d requires a planar ray")
-    x, y = ray.point
-    vx, vy = ray.direction
+    pencil = member.pencil
+    if pencil.dim != 2:
+        raise ValueError("joachimsthal_2d requires a planar member")
+    if not member.is_ellipsoid:
+        raise NotEllipsoidType("joachimsthal_2d requires an ellipse member")
+    local = Ray(pencil.to_principal(ray.point), pencil.frame.T @ ray.direction)
+    a, b = member.semiaxes_sq.tolist()
+    x, y = local.point
+    vx, vy = local.direction
     f = vx * vx / a + vy * vy / b - (vx * y - vy * x) ** 2 / (a * b)
     return float(f), float(a * b * f)
 

@@ -255,8 +255,7 @@ def _billiard_report(ds: Dataset, args) -> dict:
     except DegenerateFlat as exc:
         warnings.append(f"caustics omitted: {exc}")
     if ps.dim == 2 and member.is_ellipsoid:
-        local = Ray(pencil.to_principal(start.point), pencil.frame.T @ start.direction)
-        block["joachimsthal"] = joachimsthal_2d(member.semiaxes_sq, local)[0]
+        block["joachimsthal"] = joachimsthal_2d(member, start)[0]
     return {
         "pencil": rp.pencil_block(pencil),
         "billiard": block,

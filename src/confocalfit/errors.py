@@ -47,6 +47,12 @@ class PointNotOnQuadric(ConfocalFitError):
     code = "point-not-on-quadric"
 
 
+class PointOutOfRange(ConfocalFitError):
+    """Query point so far out that its Jacobi coordinates or moments overflow."""
+
+    code = "point-out-of-range"
+
+
 class InvalidSemiaxes(ConfocalFitError):
     code = "invalid-semiaxes"
 

@@ -103,10 +103,10 @@ def _complement_basis(v: np.ndarray) -> np.ndarray:
     return q[:, ell:k]
 
 
-def _canonical_sign(v: np.ndarray, tol: float = UNIT_TOL) -> float:
+def _canonical_sign(v: np.ndarray) -> float:
     """Sign that makes the first non-negligible component of ``v`` positive."""
     for x in v:
-        if abs(x) > tol:
+        if abs(x) > UNIT_TOL:
             return 1.0 if x > 0 else -1.0
     return 1.0
 

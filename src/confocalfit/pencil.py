@@ -37,6 +37,7 @@ from .errors import (
     InvalidSemiaxes,
     MemberOnPole,
     PointNotOnQuadric,
+    PointOutOfRange,
     RankDeficient,
 )
 from .geometry import (
@@ -345,13 +346,18 @@ def jacobi_coordinates(pencil: ConfocalPencil, point) -> JacobiCoordinates:
     equation is deflated.  The other normals are ``x_i/(p_i - lam)`` with
     ``x`` recomputed from the roots by the Loewner formula.  The k-sized
     work runs on Python floats; only the normals' lengths are numpy's.
+    Raises ``PointOutOfRange`` when twice |x|^2, the width of the lowest
+    root's bracket, overflows: that root is then not a float.
     """
     x, poles = pencil.to_principal(point).tolist(), pencil.poles.tolist()
     k = len(x)
+    norm = math.hypot(*x)
+    if not math.isfinite(2.0 * norm * norm):
+        raise PointOutOfRange("point too far out: its Jacobi coordinates overflow")
     # the 1e-6 * |x| term keeps the threshold a few ulps above the rounding
     # noise of the frame change for far-away points without swallowing
     # genuinely small coordinates
-    tol = COORD_TOL * max(pencil.focal_scale(), 1e-6 * math.hypot(*x))
+    tol = COORD_TOL * max(pencil.focal_scale(), 1e-6 * norm)
     zero = [abs(xi) < tol for xi in x]
     live = [i for i in range(k) if not zero[i]]
     # (value, degenerate, normal) of each coordinate

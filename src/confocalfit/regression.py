@@ -33,6 +33,7 @@ from .errors import (
     BadDegrees,
     DirectionDegenerate,
     NonUnitMasses,
+    PointOutOfRange,
 )
 from .geometry import (
     FlatSubspace,
@@ -282,6 +283,8 @@ def restricted_pca(ps: WeightedPointSet, point) -> RestrictedPcaResult:
     lambdas = jacobi_coordinates(pencil, p)
     two_j1 = 2 * float(pencil.principal_moments[0])
     mu = [two_j1 - pencil.mass * lam for lam in reversed(lambdas.lambdas.tolist())]
+    if not math.isfinite(mu[-1]):
+        raise PointOutOfRange("point too far out: its largest moment overflows")
     directions = pencil.frame @ lambdas.normals[:, ::-1]
     directions *= [_canonical_sign(v) for v in directions.T.tolist()]
     directions.setflags(write=False)  # a new array: the result keeps it

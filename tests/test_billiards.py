@@ -23,12 +23,7 @@ from confocalfit import (
     trajectory,
 )
 from confocalfit.billiards import _bounce
-from confocalfit.errors import (
-    DegenerateFlat,
-    InvalidSemiaxes,
-    NoIntersection,
-    NotEllipsoidType,
-)
+from confocalfit.errors import DegenerateFlat, NoIntersection, NotEllipsoidType
 
 from conftest import CELLS_XY, assert_scaled, random_point_set, random_unit_vector
 
@@ -368,11 +363,16 @@ def test_lines_with_common_caustics_share_higher_moments():
 # ---------------------------------------------------------------------------
 
 def test_joachimsthal_minor_axis_ray():
+    # the member at -1 has semiaxes squared (9, 6): a unit vertical state on
+    # its minor axis has F = 1/6, and that line is tangent to the degenerate
+    # member on the pole alpha, 9 above the member
     alpha, beta = 8.0, 5.0
-    f, lam0 = joachimsthal_2d((alpha, beta), Ray([0.0, 0.2], [0.0, 1.0]))
-    assert f == pytest.approx(1.0 / beta, rel=1e-12)
-    # the vertical center line is tangent to the degenerate member at alpha
-    assert lam0 == pytest.approx(alpha, rel=1e-12)
+    ps, pencil = pencil_with_poles(alpha, beta)
+    member = pencil.member(-1.0)
+    ray = Ray(pencil.from_principal([0.0, 0.2]), pencil.frame @ [0.0, 1.0])
+    f, lam0 = joachimsthal_2d(member, ray)
+    assert f == pytest.approx(1.0 / (beta + 1.0), rel=1e-12)
+    assert member.lam + lam0 == pytest.approx(alpha, rel=1e-12)
 
 
 def test_joachimsthal_constant_along_trajectory():
@@ -380,28 +380,28 @@ def test_joachimsthal_constant_along_trajectory():
     ps, pencil = pencil_with_poles(8.0, 5.0)
     member = pencil.member(0.0)
     values = [
-        joachimsthal_2d((8.0, 5.0), Ray(pencil.to_principal(p), pencil.frame.T @ d))[0]
+        joachimsthal_2d(member, Ray(p, d))[0]
         for p, d in trajectory(member, interior_ray(pencil, member, rng), 10)
     ]
     assert np.ptp(values) <= 1e-10
 
 
 def test_joachimsthal_parameter_matches_caustic():
+    # lambda_0 is measured from the member: the caustic is member.lam + lambda_0
     rng = np.random.default_rng(96)
     ps, pencil = pencil_with_poles(8.0, 5.0)
+    member = pencil.member(-2.0)
     for _ in range(20):
-        point = rng.normal(size=2) * 1.5
-        direction = random_unit_vector(rng, 2)
-        local = Ray(point, direction)
-        _, lam0 = joachimsthal_2d((8.0, 5.0), local)
-        line = FlatSubspace(pencil.from_principal(point), (pencil.frame @ direction)[:, None])
-        lam = caustics_of_flat(pencil, line).lambdas[0]
-        assert lam0 == pytest.approx(lam, abs=1e-9 * max(1.0, abs(lam)))
+        ray = Ray(pencil.from_principal(rng.normal(size=2) * 1.5), random_unit_vector(rng, 2))
+        _, lam0 = joachimsthal_2d(member, ray)
+        lam = caustics_of_flat(pencil, ray.line()).lambdas[0]
+        assert member.lam + lam0 == pytest.approx(lam, abs=1e-9 * max(1.0, abs(lam)))
 
 
 def test_joachimsthal_validation():
-    with pytest.raises(InvalidSemiaxes):
-        joachimsthal_2d((5.0, 8.0), Ray([0.0, 0.0], [1.0, 0.0]))
+    ps, pencil = pencil_with_poles(8.0, 5.0)
+    with pytest.raises(NotEllipsoidType):
+        joachimsthal_2d(pencil.member(6.0), Ray([0.0, 0.0], [1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +452,7 @@ def test_trajectory_far_from_the_origin_keeps_its_caustic():
     pencil = build_pencil(ps)
     member = pencil.member(-20.0)
     rays = trajectory(member, Ray(np.array([12.7, 3.6]) + 1e6, [0.6, 0.8]), 20_000)
-    values = [
-        joachimsthal_2d(member.semiaxes_sq, Ray(pencil.to_principal(p), pencil.frame.T @ d))[0]
-        for p, d in rays
-    ]
+    values = [joachimsthal_2d(member, Ray(p, d))[0] for p, d in rays]
     assert np.ptp(values) <= 1e-10 * abs(values[0])
 
 
@@ -516,3 +513,53 @@ def test_trajectory_rejects_outside_start():
     outside = pencil.from_principal(np.array([5.0, 5.0]))
     with pytest.raises(NoIntersection):
         trajectory(member, Ray(outside, [1.0, 0.0]), 3)
+
+
+# ---------------------------------------------------------------------------
+# frame independence
+# ---------------------------------------------------------------------------
+
+# Moving the data and a state by the same rigid motion moves every result
+# with them, up to the rounding of the two eigensystems and of 20 bounces,
+# which stays far below this relative tolerance.
+FRAME_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("shift", (0.0, 1e3))
+@pytest.mark.parametrize("det", (1.0, -1.0))
+@pytest.mark.parametrize("k", (2, 3))
+def test_billiards_do_not_depend_on_the_frame(k, det, shift):
+    rng = np.random.default_rng([99, k, int(det > 0), int(shift)])
+    ps = random_point_set(rng, k)
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    q[:, 0] *= det * np.sign(np.linalg.det(q))
+    t = shift * random_unit_vector(rng, k)
+    assert np.linalg.det(q) == pytest.approx(det)
+    moved = WeightedPointSet(ps.coords @ q.T + t, ps.masses)
+    pencil, moved_pencil = build_pencil(ps), build_pencil(moved)
+    lam = float(pencil.poles[-1] - 0.5 * (pencil.poles[0] - pencil.poles[-1]))
+    member, moved_member = pencil.member(lam), moved_pencil.member(lam)
+    start = interior_ray(pencil, member, rng)
+    rows = trajectory(member, start, 20)
+    moved_rows = trajectory(moved_member, Ray(q @ start.point + t, q @ start.direction), 20)
+    want = rows @ q.T
+    want[:, 0] += t
+    assert np.abs(moved_rows[:, 0] - want[:, 0]).max() <= FRAME_RTOL * np.abs(want[:, 0]).max()
+    assert np.abs(moved_rows[:, 1] - want[:, 1]).max() <= FRAME_RTOL
+    scale = float(np.abs(pencil.poles).max())
+    for row, moved_row in zip(rows, moved_rows):
+        ray, moved_ray = Ray(*row), Ray(*moved_row)
+        assert np.abs(
+            caustics_of_flat(moved_pencil, moved_ray.line()).lambdas
+            - caustics_of_flat(pencil, ray.line()).lambdas
+        ).max() <= FRAME_RTOL * scale
+        assert np.allclose(
+            higher_axial_moments(moved_pencil, moved_ray),
+            higher_axial_moments(pencil, ray),
+            rtol=FRAME_RTOL,
+            atol=0.0,
+        )
+        if k == 2:
+            assert joachimsthal_2d(moved_member, moved_ray) == pytest.approx(
+                joachimsthal_2d(member, ray), rel=FRAME_RTOL
+            )

@@ -258,6 +258,18 @@ def test_pca_far_from_the_data_reports_the_pencil_moment():
     assert round_floats(report)["pca"]["moments"][0] == 0.808619028
 
 
+@pytest.mark.parametrize("command", (["fit", "--through"], ["pca", "--at"], ["pencil", "--jacobi"]))
+def test_a_point_whose_coordinates_overflow_is_a_domain_error(command, capsys):
+    from confocalfit.report import dumps
+
+    argv = [command[0], CELLS, "--cols", "X,Y", command[1]]
+    assert main([*argv, "1e155,3e154"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["error"]["code"] == "point-out-of-range"
+    # dumps writes a value that is not finite as null
+    assert "null" not in dumps(run_ok([*argv, "1e150,3e149"]))
+
+
 # the power of the length unit each report key carries; the rest are unitless
 _LENGTH_POWER = {
     "center": 1, "point": 1, "point_principal": 1, "offset": 1,

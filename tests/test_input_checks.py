@@ -10,6 +10,7 @@ from confocalfit import (
     SymmetricOperator,
     WeightedPointSet,
     axial_moment,
+    build_pencil,
     constrained_fit,
     joachimsthal_2d,
     parse_dataset,
@@ -23,6 +24,9 @@ from conftest import CELLS_XY
 
 _CELLS = WeightedPointSet(CELLS_XY)
 _ORIGIN = np.zeros(3)
+_AXES = np.diag([1.0, 2.0, 3.0])
+# the pencil of six points at +-1, +-2 and +-3 on the axes: poles 1/3, -2/3, -7/3
+_SOLID = build_pencil(WeightedPointSet(np.vstack([_AXES, -_AXES])))
 
 
 def _csv(tmp_path, text):
@@ -67,8 +71,8 @@ INPUT_CHECKS = {
                              InvalidSemiaxes, "need semiaxes a > b > c > 0"),
     "norm-name": (lambda tmp: constrained_fit(_CELLS, "l3", 1.0),
                   ValueError, "norm must be 'l1' or 'l2'"),
-    "joachimsthal-3d": (lambda tmp: joachimsthal_2d([2.0, 1.0], Ray(_ORIGIN, [1.0, 0.0, 0.0])),
-                        ValueError, "joachimsthal_2d requires a planar ray"),
+    "joachimsthal-3d": (lambda tmp: joachimsthal_2d(_SOLID.member(-3.0), Ray(_ORIGIN, _AXES[0])),
+                        ValueError, "joachimsthal_2d requires a planar member"),
     "empty-cell": (lambda tmp: _csv(tmp, "x,y\n1,2\n3,\n"),
                    ParseError, "row 3, column 'y': empty cell"),
     "empty-file": (lambda tmp: _csv(tmp, ""), EmptyDataset, "is empty"),

@@ -40,6 +40,7 @@ from confocalfit.errors import (
     BadDegrees,
     ConfocalFitError,
     NonUnitMasses,
+    PointOutOfRange,
     RankDeficient,
 )
 
@@ -196,6 +197,28 @@ def test_restricted_pca_far_from_the_data(cells):
     assert abs(float(smallest) / 0.808619028292259 - 1) <= 1e-15
     res = restricted_pca(cells, [300000.0, 200000.0])
     assert res.moments[0] == pytest.approx(0.808619028292259, rel=1e-12)
+
+
+def test_a_point_whose_coordinates_overflow_is_refused(cells):
+    # the lowest Jacobi coordinate is about -|x|^2: at 1e155 it is not a
+    # float, at 1e150 it is, and so is every other value
+    pencil = build_pencil(cells)
+    far = [1e155, 1e155 / 3]
+    with pytest.raises(PointOutOfRange, match="Jacobi coordinates overflow"):
+        jacobi_coordinates(pencil, far)
+    with pytest.raises(PointOutOfRange, match="Jacobi coordinates overflow"):
+        restricted_pca(cells, far)
+    near = [1e150, 1e150 / 3]
+    jc, res = jacobi_coordinates(pencil, near), restricted_pca(cells, near)
+    for values in (jc.lambdas, jc.normals, res.moments, res.directions):
+        assert np.isfinite(values).all()
+    assert jc.lambdas[0] == pytest.approx(-1e300 * (1 + 1 / 9), rel=1e-12)
+    # with masses of 1e10 the coordinates are the same floats, but the
+    # largest moment, about -m times the lowest, is not
+    heavy = WeightedPointSet(CELLS_XY, np.full(5, 1e10))
+    assert np.isfinite(jacobi_coordinates(build_pencil(heavy), near).lambdas).all()
+    with pytest.raises(PointOutOfRange, match="largest moment overflows"):
+        restricted_pca(heavy, near)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
