@@ -119,9 +119,12 @@ class WeightedPointSet:
     each value computed once on first use and read-only: ``total_mass``,
     ``has_unit_masses``, ``center`` (the centroid) with ``center_residual``
     (what rounding it lost), ``centered_inertia`` (the inertia operator about
-    it), ``spectrum`` (its ``symmetric_eigen``) and the pencil of
-    ``build_pencil``.  Every query reads these, so after the first none reads
-    ``coords`` or ``masses``; ``offset_from_center`` forms every P - c.
+    it), ``spectrum`` (its ``symmetric_eigen``), the pencil of
+    ``build_pencil``, and the bound-free work of ``constrained_fit``: ``_ridge``
+    (the eigensystem of the inertia operator about the origin) and
+    ``_support_blocks`` (the lasso's principal submatrices of
+    ``centered_inertia``).  Every query reads these, so after the first none
+    reads ``coords`` or ``masses``; ``offset_from_center`` forms every P - c.
     The set is *full rank* when it does not lie in any hyperplane, measured
     by ``spectrum``.
     """
@@ -212,6 +215,16 @@ class WeightedPointSet:
     def _pencil(self):
         from .pencil import _pencil  # pencil imports this module
         return _pencil(self.center, self.center_residual, self.spectrum, self.total_mass)
+
+    @cached_property
+    def _ridge(self):
+        from .regularize import _ridge_eigensystem  # regularize imports this module
+        return _ridge_eigensystem(self)
+
+    @cached_property
+    def _support_blocks(self):
+        from .regularize import _support_blocks
+        return _support_blocks(self)
 
 
 def _offset(points, center: np.ndarray, residual: np.ndarray) -> np.ndarray:

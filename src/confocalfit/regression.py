@@ -321,6 +321,8 @@ def directional_fit(ps: WeightedPointSet, w, through=None) -> FitResult:
     (Lagrange's identity).  These are sums of squares and ``A(P)`` is never
     formed, so ``A(c)`` is not rounded away however far P lies from c.
     ``w^T A(P)^{-1} w > 0``, so ``w`` never lies in the plane.
+    Raises ``PointOutOfRange`` when ``4 k |b|^2``, a bound on every product
+    of ``b`` formed here, or the moment overflows: ``P`` is then too far out.
     """
     require_full_rank(ps)
     w = _as_vector(w, ps.dim, "direction")
@@ -331,13 +333,20 @@ def directional_fit(ps: WeightedPointSet, w, through=None) -> FitResult:
     # the rank check bounds cond(A(c)) by 1 / RANK_TOL, so the factor exists
     chol = np.linalg.cholesky(ps.centered_inertia.entries)
     a, d = np.linalg.solve(chol, np.column_stack([w, ps.offset_from_center(anchor)])).T
+    reach = math.sqrt(ps.total_mass) * math.hypot(*d.tolist())  # |b|, inf or nan if it overflows
+    if not math.isfinite(4.0 * ps.dim * reach * reach):
+        raise PointOutOfRange("point too far out: its directional moment overflows")
     # a over its largest |component| keeps |a|^2 |b|^2 in the float range
-    scale = np.abs(a).max()
+    scale = float(np.abs(a).max())
     a, b = a / scale, math.sqrt(ps.total_mass) * d
     cross = np.outer(a, b) - np.outer(b, a)
-    normal = _unit(np.linalg.solve(chol.T, a + cross @ b))
-    moment = (1.0 + b @ b) / (a @ a + 0.5 * np.sum(cross * cross)) / scale / scale
-    return FitResult(Hyperplane.through(anchor, normal), float(moment), "best")
+    x = a + cross @ b
+    # over a power of two, exactly: L^-T can grow |x| past the float range
+    normal = _unit(np.linalg.solve(chol.T, np.ldexp(x, -np.frexp(np.abs(x).max())[1])))
+    moment = float((1.0 + b @ b) / (a @ a + 0.5 * np.sum(cross * cross))) / scale / scale
+    if not math.isfinite(moment):
+        raise PointOutOfRange("point too far out: its directional moment overflows")
+    return FitResult(Hyperplane.through(anchor, normal), moment, "best")
 
 
 def point_hypothesis_test(

@@ -258,11 +258,14 @@ def test_pca_far_from_the_data_reports_the_pencil_moment():
     assert round_floats(report)["pca"]["moments"][0] == 0.808619028
 
 
-@pytest.mark.parametrize("command", (["fit", "--through"], ["pca", "--at"], ["pencil", "--jacobi"]))
+@pytest.mark.parametrize("command", (
+    ["fit", "--through"], ["pca", "--at"], ["pencil", "--jacobi"],
+    ["directional", "--dir", "0,1", "--through"],
+))
 def test_a_point_whose_coordinates_overflow_is_a_domain_error(command, capsys):
     from confocalfit.report import dumps
 
-    argv = [command[0], CELLS, "--cols", "X,Y", command[1]]
+    argv = [command[0], CELLS, "--cols", "X,Y", *command[1:]]
     assert main([*argv, "1e155,3e154"]) == 2
     out, err = capsys.readouterr()
     assert err == "" and json.loads(out)["error"]["code"] == "point-out-of-range"
@@ -564,6 +567,21 @@ def test_regularize_bound_whose_moment_overflows_is_a_domain_error(norm):
     fit = run_ok(["regularize", FORBES, "--norm", norm, "--bound", "1e-150"])["regularize"]
     assert fit["moment"] == pytest.approx(1.7e301, rel=1e-6)
     assert np.abs(fit["coefficients"]).max() <= 1e-150
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_regularize_large_bound_at_the_origin(norm, tmp_path, capsys):
+    # data centred at the origin: a bound of 1e160 and above makes |w| tiny
+    from confocalfit.report import round_floats
+
+    path = tmp_path / "origin.csv"
+    path.write_text("X,Y\n1,2\n-1,-2\n2,1.5\n-2,-1.5\n0.5,-0.3\n-0.5,0.3\n")
+    for bound in ("1e160", "1e200", "1e300"):
+        argv = ["regularize", str(path), "--cols", "X,Y", "--norm", norm, "--bound", bound]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert round_floats(json.loads(out))["regularize"]["moment"] == 1.82894985
 
 
 def test_reports_are_byte_deterministic():

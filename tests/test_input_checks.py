@@ -18,7 +18,7 @@ from confocalfit import (
     thread_foci,
     thread_slice,
 )
-from confocalfit.errors import EmptyDataset, InvalidSemiaxes, ParseError
+from confocalfit.errors import EmptyDataset, InvalidSemiaxes, ParseError, UsageError
 
 from conftest import CELLS_XY
 
@@ -70,7 +70,9 @@ INPUT_CHECKS = {
     "thread-foci-semiaxes": (lambda tmp: thread_foci([1.0, 2.0, 3.0], 0.5),
                              InvalidSemiaxes, "need semiaxes a > b > c > 0"),
     "norm-name": (lambda tmp: constrained_fit(_CELLS, "l3", 1.0),
-                  ValueError, "norm must be 'l1' or 'l2'"),
+                  UsageError, "norm must be 'l1' or 'l2'"),
+    "norm-type": (lambda tmp: constrained_fit(_CELLS, None, 1.0),
+                  UsageError, "norm must be 'l1' or 'l2'"),
     "joachimsthal-3d": (lambda tmp: joachimsthal_2d(_SOLID.member(-3.0), Ray(_ORIGIN, _AXES[0])),
                         ValueError, "joachimsthal_2d requires a planar member"),
     "empty-cell": (lambda tmp: _csv(tmp, "x,y\n1,2\n3,\n"),

@@ -221,6 +221,33 @@ def test_a_point_whose_coordinates_overflow_is_refused(cells):
         restricted_pca(heavy, near)
 
 
+def test_a_directional_anchor_whose_products_overflow_is_refused(cells):
+    # b = sqrt(m) L^-1 (P - c) has |b|^2 past the float range at 1e155, and
+    # the nested test inherits the refusal; at 1e150 every value is finite
+    w = [0.0, 1.0]
+    far = [1e155, 1e155 / 3]
+    with pytest.raises(PointOutOfRange, match="directional moment overflows"):
+        directional_fit(cells, w, through=far)
+    with pytest.raises(PointOutOfRange, match="directional moment overflows"):
+        nested_f_test(cells, w, far)
+    near = directional_fit(cells, w, through=[1e150, 1e150 / 3])
+    assert math.isfinite(near.moment) and np.isfinite(near.flat.normal).all()
+    # an anchor 1e150 along w: the moment is about m |P - c|^2, 5e300 for
+    # unit masses and past the float range for masses of 1e10, although
+    # b, which does not depend on the masses, is the same
+    along = cells.center + [0.0, 1e150]
+    assert directional_fit(cells, w, through=along).moment == pytest.approx(5e300, rel=1e-9)
+    heavy = WeightedPointSet(CELLS_XY, np.full(5, 1e10))
+    with pytest.raises(PointOutOfRange, match="directional moment overflows"):
+        directional_fit(heavy, w, through=along)
+    # data of spread 1e-4: A(c)'s factor is small, so L^-T (a + M b) is past
+    # the float range at 1e149 although |b|^2 is not; the normal is the same
+    small = WeightedPointSet(CELLS_XY * 1e-4)
+    normals = [directional_fit(small, w, through=small.center + [t, -0.3 * t]).flat.normal
+               for t in (1e140, 1e149)]
+    assert np.abs(normals[0] - normals[1]).max() <= 1e-15
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_restricted_pca_near_a_focal_locus(k, offset):

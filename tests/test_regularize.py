@@ -17,12 +17,17 @@ from confocalfit import (
     moment_of_coefficients,
     tangent_hyperplane,
 )
+from confocalfit import regularize
 from confocalfit.errors import L1DimensionTooLarge, NoEnvelope, ZeroVector
 from confocalfit.regularize import L1_MAX_DIM
 
 from conftest import CELLS_XY, FORBES_XY, assert_scaled, random_point_set
 
+from test_geometry import _record_calls
 from test_pencil import sample_point_on_member
+
+# six points centred exactly at the origin, with J_1 = 1.82894985...
+ORIGIN_XY = np.array([[1.0, 2.0], [-1.0, -2.0], [2.0, 1.5], [-2.0, -1.5], [0.5, -0.3], [-0.5, 0.3]])
 
 
 def make_2d(rng, n=14):
@@ -438,3 +443,78 @@ def test_l1_dimension_cap():
         constrained_fit(ps, "l1", 1e-3)
     assert info.value.code == "l1-dimension-too-large"
     assert constrained_fit(ps, "l2", 1e-3).active
+
+
+@pytest.mark.parametrize("bound", [1e160, 1e200, 1e300])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_large_bounds_at_the_origin_reach_j1(norm, bound):
+    # |w| = sqrt(m) / bound is far below 1e-154, where its norm would underflow;
+    # the plane through the centroid nearly meets the bound, so the moment is J_1
+    ps = WeightedPointSet(ORIGIN_XY)
+    assert not ps.center.any()
+    fit = constrained_fit(ps, norm, bound)
+    assert fit.active
+    assert fit.moment == pytest.approx(ps.spectrum.values[0], rel=1e-12)
+
+
+def test_ridge_with_the_centroid_at_the_origin():
+    # c = 0: every g~ is zero, so no coordinate is live and the hard case
+    # returns the bottom eigenvector, with moment J_1 + m / bound^2
+    ps = WeightedPointSet(ORIGIN_XY)
+    assert ps._ridge[3] == 0.0
+    for bound in (0.1, 1.0, 10.0):
+        fit = constrained_fit(ps, "l2", bound)
+        assert fit.active
+        want = ps.spectrum.values[0] + ps.total_mass / bound**2
+        assert fit.moment == pytest.approx(want, rel=1e-14)
+        normal = fit.coefficients.u / bound
+        assert abs(normal @ ps.spectrum.vectors[:, 0]) == pytest.approx(1.0, rel=1e-14)
+
+
+def _grid(ps, norm, fracs=(2.0, 0.9, 0.5, 0.2, 0.05)):
+    """Bounds at ``fracs`` of the unconstrained plane's coefficient norm."""
+    u = unconstrained_u(ps)
+    return [frac * (np.abs(u).sum() if norm == "l1" else np.linalg.norm(u)) for frac in fracs]
+
+
+def test_a_grid_of_l2_bounds_shares_one_ridge_eigensystem(monkeypatch):
+    # besides the spectrum, which the grid itself reads, one eigh in all
+    ps = random_point_set(np.random.default_rng(78), 3)
+    bounds = _grid(ps, "l2", (0.9, 0.5, 0.2, 0.05, 0.01))
+    calls = _record_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "eigvalsh"))
+    assert all(constrained_fit(ps, "l2", bound).active for bound in bounds)
+    assert calls == ["eigh"]
+
+
+def test_a_grid_of_l1_bounds_gathers_the_blocks_once(monkeypatch):
+    ps = random_point_set(np.random.default_rng(78), 4)
+    bounds = _grid(ps, "l1", (0.9, 0.5, 0.2, 0.05, 0.01))
+    calls = _record_calls(monkeypatch, (regularize, "_support_blocks"))
+    assert all(constrained_fit(ps, "l1", bound).active for bound in bounds)
+    assert calls == ["_support_blocks"]
+
+
+def _fit_bytes(fit):
+    return (fit.coefficients.u.tobytes(), fit.moment, fit.active, fit.zero_coordinates)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_cached_work_gives_the_same_bits(norm, k, shift):
+    # each bound on a fresh set against the same bound on a set that has
+    # already answered the rest of the grid
+    base = random_point_set(np.random.default_rng(79 + k), k)
+    coords = base.coords + shift
+    warm = WeightedPointSet(coords, base.masses)
+    bounds = _grid(warm, norm)
+    fits = [constrained_fit(warm, norm, bound) for bound in bounds]
+    assert [fit.active for fit in fits] == [False, True, True, True, True]
+    for bound, fit in zip(bounds, fits):
+        fresh = constrained_fit(WeightedPointSet(coords, base.masses), norm, bound)
+        assert _fit_bytes(fit) == _fit_bytes(fresh)
+    cached = warm._ridge[:3] if norm == "l2" else warm._support_blocks
+    assert len(cached) == (3 if norm == "l2" else k - 1)
+    for array in cached:
+        with pytest.raises(ValueError):
+            array.flat[0] = 0.0
