@@ -18,9 +18,7 @@ from confocalfit import (  # noqa: E402
     SymmetricOperator,
     best_fit_flat,
     build_pencil,
-    centroid,
     directional_fit,
-    inertia_operator,
     nested_f_test,
     parse_dataset,
     point_hypothesis_test,
@@ -37,8 +35,8 @@ def slope_intercept(plane):
 def cells_example():
     print("=== spleen-cell counts (restricted orthogonal regression) ===")
     ps = parse_dataset(str(DATA / "cells.csv"), cols=["X", "Y"]).point_set()
-    c = centroid(ps)
-    op = inertia_operator(ps, c).entries
+    c = ps.center
+    op = ps.centered_inertia.entries
     pencil = build_pencil(ps)
     print(f"centroid            ({c[0]:.4f}, {c[1]:.4f})")
     print(f"inertia operator    J_xx={op[0,0]:.4f}  J_yy={op[1,1]:.4f}  J_xy={op[0,1]:.4f}")
@@ -65,7 +63,7 @@ def forbes_example():
     print()
     print("=== Forbes' boiling points (restricted directional regression) ===")
     ps = parse_dataset(str(DATA / "forbes.csv")).point_set()
-    c = centroid(ps)
+    c = ps.center
     pencil = build_pencil(ps)
     print(f"centroid            ({c[0]:.4f}, {c[1]:.5f})")
     j1, j2 = pencil.principal_moments

@@ -33,8 +33,6 @@ from .geometry import (
     Hyperplane,
     SymmetricOperator,
     WeightedPointSet,
-    axial_moment,
-    centroid,
     directional_moment,
     hyperplanar_moment,
     inertia_operator,

@@ -39,10 +39,11 @@ _RANK_DEFICIENT = "point set lies in a hyperplane within tolerance"
 SYMMETRY_TOL = 1e-12
 UNIT_TOL = 1e-12
 
-# Rows per block of the sums over the points (centroid, inertia operator):
-# their temporaries stay at _BLOCK x k, and adding the block sums in order
-# keeps each rounding chain to about _BLOCK + N / _BLOCK terms instead of N
-# (blocked summation, as in Chan, Golub & LeVeque 1979).
+# Rows per block of every pass over the points (the finiteness check, the
+# centroid, the inertia operator, the moments): their temporaries stay at
+# _BLOCK x k, and adding the block sums in order keeps each rounding chain to
+# about _BLOCK + N / _BLOCK terms instead of N (blocked summation, as in
+# Chan, Golub & LeVeque 1979).
 _BLOCK = 4096
 
 
@@ -123,10 +124,10 @@ class WeightedPointSet:
     ``build_pencil``, and the bound-free work of ``constrained_fit``: ``_ridge``
     (the eigensystem of the inertia operator about the origin) and
     ``_support_blocks`` (the lasso's principal submatrices of
-    ``centered_inertia``).  Every query reads these, so after the first none
-    reads ``coords`` or ``masses``; ``offset_from_center`` forms every P - c.
-    The set is *full rank* when it does not lie in any hyperplane, measured
-    by ``spectrum``.
+    ``centered_inertia``).  Every fit and test reads these, so after the first
+    only the moments read ``coords`` and ``masses``; ``offset_from_center``
+    forms every P - c.  The set is *full rank* when it does not lie in any
+    hyperplane, measured by ``spectrum``.
     """
 
     coords: np.ndarray
@@ -141,7 +142,7 @@ class WeightedPointSet:
             raise ValueError("need at least one point")
         if k < 2:
             raise UsageError("ambient dimension must be at least 2")
-        if not np.all(np.isfinite(coords)):
+        if _block_sum(n, lambda rows: np.count_nonzero(~np.isfinite(coords[rows]))):
             raise ValueError("coords contain non-finite entries")
         masses = _store(self, "masses", np.ones(n) if self.masses is None else self.masses)
         if masses.shape != (n,):
@@ -375,11 +376,6 @@ class FlatSubspace:
 # Moments
 # ---------------------------------------------------------------------------
 
-def centroid(ps: WeightedPointSet) -> np.ndarray:
-    """Mass-weighted mean (read-only; cached on the point set)."""
-    return ps.center
-
-
 def inertia_operator(ps: WeightedPointSet, origin) -> SymmetricOperator:
     """Second-moment operator about ``origin``:  sum_j m_j (r_j-O)(r_j-O)^T.
 
@@ -394,10 +390,20 @@ def inertia_operator(ps: WeightedPointSet, origin) -> SymmetricOperator:
     return SymmetricOperator(_block_sum(ps.n_points, block))
 
 
+def _weighted_squares(ps: WeightedPointSet, distance) -> float:
+    """``sum_j m_j distance(r_j)^2`` for a row-wise ``distance``, summed in row
+    blocks of ``_BLOCK``: the one rule behind every moment of a flat."""
+
+    def block(rows: slice) -> float:
+        d = distance(ps.coords[rows])
+        return ps.masses[rows] @ (d * d)
+
+    return float(_block_sum(ps.n_points, block))
+
+
 def hyperplanar_moment(ps: WeightedPointSet, plane: Hyperplane) -> float:
     """Mass-weighted sum of squared point-to-hyperplane distances."""
-    r = plane.signed_distance(ps.coords)
-    return float(ps.masses @ (r * r))
+    return _weighted_squares(ps, plane.signed_distance)
 
 
 def l_planar_moment(ps: WeightedPointSet, flat: FlatSubspace) -> float:
@@ -406,15 +412,7 @@ def l_planar_moment(ps: WeightedPointSet, flat: FlatSubspace) -> float:
     Distances are computed by orthogonal projection onto the flat's basis;
     for l = 1 this is the axial moment and for l = k-1 the hyperplanar one.
     """
-    d = flat.distances(ps.coords)
-    return float(ps.masses @ (d * d))
-
-
-def axial_moment(ps: WeightedPointSet, line: FlatSubspace) -> float:
-    """Moment about a line; convenience alias of the l = 1 planar moment."""
-    if line.flat_dim != 1:
-        raise ValueError("axial moment requires a one-dimensional flat")
-    return l_planar_moment(ps, line)
+    return _weighted_squares(ps, flat.distances)
 
 
 def directional_moment(ps: WeightedPointSet, plane: Hyperplane, w) -> float:

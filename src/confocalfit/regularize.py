@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundTooSmall, L1DimensionTooLarge, NoEnvelope, UsageError, ZeroVector
-from .geometry import Hyperplane, WeightedPointSet, _as_vector, _store
+from .geometry import Hyperplane, WeightedPointSet, _as_vector, _store, hyperplanar_moment
 from .pencil import ConfocalPencil
 
 # The L1 solver scores all 3^k - 1 faces of the cube: one eigh per face of two
@@ -93,9 +93,9 @@ class RegularizedFit:
 
 
 def moment_of_coefficients(ps: WeightedPointSet, u: CoefficientVector) -> float:
-    """Hyperplanar moment of the plane {x : <u, x> = 1}."""
-    r = ps.coords @ u.u - 1.0
-    return float(ps.masses @ (r * r) / (u.u @ u.u))
+    """``f(u)``: the ``hyperplanar_moment`` of ``u.hyperplane()``, whose unit
+    normal and offset 1/|u| are formed without squaring ``u``."""
+    return hyperplanar_moment(ps, u.hyperplane())
 
 
 def dual_quadric(pencil: ConfocalPencil, j_pi: float) -> DualQuadric:
@@ -273,7 +273,10 @@ def constrained_fit(ps: WeightedPointSet, norm: str, bound: float) -> Regularize
     norm = norm.lower() if isinstance(norm, str) else norm
     if norm not in ("l1", "l2"):
         raise UsageError("norm must be 'l1' or 'l2'")
-    bound = float(bound)
+    try:
+        bound = float(bound)
+    except (TypeError, ValueError):
+        bound = math.nan  # not a number: refused below like any bad bound
     if not 0 < bound < np.inf:
         raise UsageError("bound must be positive and finite")
     if norm == "l1" and ps.dim > L1_MAX_DIM:

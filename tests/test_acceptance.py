@@ -15,11 +15,9 @@ from confocalfit import (
     Ray,
     SymmetricOperator,
     WeightedPointSet,
-    axial_moment,
     best_fit_flat,
     build_pencil,
     caustics_of_flat,
-    centroid,
     constrained_fit,
     directional_fit,
     higher_axial_moments,
@@ -69,7 +67,7 @@ def test_criterion_1_cells_end_to_end():
     with criterion(1, "cells example end-to-end"):
         start = time.perf_counter()
         ps = WeightedPointSet(CELLS_XY)
-        c = centroid(ps)
+        c = ps.center
         op = inertia_operator(ps, c)
         pencil = build_pencil(ps)
         best = best_fit_flat(ps, 1)
@@ -115,7 +113,7 @@ def test_criterion_2_forbes_end_to_end():
     with criterion(2, "Forbes example end-to-end"):
         start = time.perf_counter()
         ps = WeightedPointSet(FORBES_XY)
-        c = centroid(ps)
+        c = ps.center
         op = inertia_operator(ps, c)
         pencil = build_pencil(ps)
         vertical = directional_fit(ps, [0.0, 1.0])
@@ -186,7 +184,7 @@ def test_criterion_4_duality_and_optimality():
             pencil = build_pencil(ps)
             j1, m = float(pencil.principal_moments[0]), pencil.mass
             for _ in range(10):
-                point = centroid(ps) + rng.normal(size=k) * 3
+                point = ps.center + rng.normal(size=k) * 3
                 lam = jacobi_coordinates(pencil, point).lambdas
                 mu = symmetric_eigen(inertia_operator(ps, point)).values
                 assert np.allclose(2 * j1 - m * lam[::-1], mu, rtol=1e-9)
@@ -194,7 +192,7 @@ def test_criterion_4_duality_and_optimality():
         # the restricted best hyperplane beats 1000 random hyperplanes
         for k in (2, 3, 4):
             ps = random_point_set(rng, k)
-            point = centroid(ps) + rng.normal(size=k) * 2
+            point = ps.center + rng.normal(size=k) * 2
             best, worst = restricted_best_fit_flat(ps, point, k - 1)
             normals = rng.normal(size=(1000, k))
             normals /= np.linalg.norm(normals, axis=1)[:, None]
@@ -212,13 +210,13 @@ def test_criterion_5_caustic_suite():
         pencil = build_pencil(ps)
         for _ in range(100):
             line = FlatSubspace(
-                centroid(ps) + rng.normal(size=3) * 3,
+                ps.center + rng.normal(size=3) * 3,
                 random_unit_vector(rng, 3)[:, None],
             )
             caustics = caustics_of_flat(pencil, line).lambdas
             assert audin_holds(pencil.poles, caustics)
             assert moment_via_caustics(pencil, line) == pytest.approx(
-                axial_moment(ps, line), rel=1e-8
+                l_planar_moment(ps, line), rel=1e-8
             )
         # 50-bounce 3D trajectory conserves caustics and higher moments
         member = pencil.member(float(pencil.poles[-1] - 0.8 * pencil.focal_scale() ** 2))
@@ -265,7 +263,7 @@ def test_criterion_7_l_planar_suite():
         for trial in range(50):
             ps = random_point_set(rng, 4)
             ell = trial % 3 + 1
-            base = centroid(ps) + rng.normal(size=4)
+            base = ps.center + rng.normal(size=4)
             basis, _ = np.linalg.qr(rng.normal(size=(4, ell)))
             flat = FlatSubspace(base, basis[:, :ell])
             assert l_planar_moment(ps, flat) == pytest.approx(
@@ -273,7 +271,7 @@ def test_criterion_7_l_planar_suite():
             )
         # principal coordinate flats carry the complementary moment sums
         ps = random_point_set(rng, 4)
-        c = centroid(ps)
+        c = ps.center
         eig = symmetric_eigen(inertia_operator(ps, c))
         for axes in [(0,), (1,), (2,), (3,), (0, 1), (1, 2), (0, 3), (0, 1, 2), (1, 2, 3)]:
             flat = FlatSubspace(c, eig.vectors[:, list(axes)])

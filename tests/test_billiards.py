@@ -11,10 +11,8 @@ from confocalfit import (
     FlatSubspace,
     Ray,
     WeightedPointSet,
-    axial_moment,
     build_pencil,
     caustics_of_flat,
-    centroid,
     higher_axial_moments,
     joachimsthal_2d,
     l_planar_moment,
@@ -148,7 +146,7 @@ def test_3d_lines_have_two_caustics_of_allowed_types():
     seen = set()
     for _ in range(60):
         line = FlatSubspace(
-            centroid(ps) + rng.normal(size=3) * 2, random_unit_vector(rng, 3)[:, None]
+            ps.center + rng.normal(size=3) * 2, random_unit_vector(rng, 3)[:, None]
         )
         caustics = caustics_of_flat(pencil, line).lambdas
         assert caustics.shape == (2,)
@@ -167,7 +165,7 @@ def test_l2_flats_in_r4_have_two_orthogonal_tangencies():
     pencil = build_pencil(ps)
     for _ in range(20):
         basis, _ = np.linalg.qr(rng.normal(size=(4, 2)))
-        flat = FlatSubspace(centroid(ps) + rng.normal(size=4), basis[:, :2])
+        flat = FlatSubspace(ps.center + rng.normal(size=4), basis[:, :2])
         caustics = caustics_of_flat(pencil, flat).lambdas
         assert caustics.shape == (2,)
         # tangency points and the normals of the members there
@@ -284,10 +282,10 @@ def test_moment_via_caustics_equals_axial_moment():
     pencil = build_pencil(ps)
     for _ in range(25):
         line = FlatSubspace(
-            centroid(ps) + rng.normal(size=3) * 3, random_unit_vector(rng, 3)[:, None]
+            ps.center + rng.normal(size=3) * 3, random_unit_vector(rng, 3)[:, None]
         )
         assert moment_via_caustics(pencil, line) == pytest.approx(
-            axial_moment(ps, line), rel=1e-8
+            l_planar_moment(ps, line), rel=1e-8
         )
 
 
@@ -298,7 +296,7 @@ def test_moment_via_caustics_equals_l_planar_moment():
     for ell in (1, 2, 3):
         for _ in range(10):
             basis, _ = np.linalg.qr(rng.normal(size=(4, ell)))
-            flat = FlatSubspace(centroid(ps) + rng.normal(size=4), basis[:, :ell])
+            flat = FlatSubspace(ps.center + rng.normal(size=4), basis[:, :ell])
             assert moment_via_caustics(pencil, flat) == pytest.approx(
                 l_planar_moment(ps, flat), rel=1e-8
             )
@@ -324,10 +322,10 @@ def test_higher_moments_2d_single_value():
     rng = np.random.default_rng(92)
     ps = random_point_set(rng, 2)
     pencil = build_pencil(ps)
-    ray = Ray(centroid(ps) + rng.normal(size=2), random_unit_vector(rng, 2))
+    ray = Ray(ps.center + rng.normal(size=2), random_unit_vector(rng, 2))
     hm = higher_axial_moments(pencil, ray)
     assert hm.shape == (1,)
-    assert hm[0] == pytest.approx(axial_moment(ps, ray.line()), rel=1e-9)
+    assert hm[0] == pytest.approx(l_planar_moment(ps, ray.line()), rel=1e-9)
 
 
 def test_higher_moments_reflection_invariant():

@@ -735,7 +735,7 @@ def test_scalar_options_must_be_finite(argv, capsys):
 
 def test_constrained_fit_rejects_a_bound_that_is_not_finite_and_positive():
     ps = parse_dataset(FORBES).point_set()
-    for bound in (0.0, -1.0, float("nan"), float("inf")):
+    for bound in (0.0, -1.0, float("nan"), float("inf"), "abc", None, [1.0]):
         with pytest.raises(UsageError, match="positive and finite"):
             constrained_fit(ps, "l2", bound)
 

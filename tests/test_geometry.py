@@ -4,6 +4,7 @@ import dataclasses
 import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,16 +24,15 @@ from confocalfit import (
     RestrictedPcaResult,
     SymmetricOperator,
     WeightedPointSet,
-    axial_moment,
     best_fit_flat,
     build_pencil,
-    centroid,
     constrained_fit,
     directional_fit,
     directional_moment,
     hyperplanar_moment,
     inertia_operator,
     l_planar_moment,
+    moment_of_coefficients,
     nested_f_test,
     restricted_best_fit_flat,
     restricted_pca,
@@ -49,30 +49,30 @@ from conftest import gram_moment, random_point_set, random_unit_vector
 # ---------------------------------------------------------------------------
 
 def test_centroid_cells(cells):
-    assert np.allclose(centroid(cells), [12.7374, 3.5748], atol=1e-10)
+    assert np.allclose(cells.center, [12.7374, 3.5748], atol=1e-10)
 
 
 def test_centroid_forbes(forbes):
-    assert np.allclose(centroid(forbes), [202.9529, 25.05882], rtol=1e-6)
+    assert np.allclose(forbes.center, [202.9529, 25.05882], rtol=1e-6)
 
 
 def test_centroid_single_point():
     ps = WeightedPointSet(np.array([[5.0, 7.0]]), np.array([3.0]))
-    assert np.allclose(centroid(ps), [5.0, 7.0])
+    assert np.allclose(ps.center, [5.0, 7.0])
 
 
 def test_centroid_matches_weighted_mean():
     rng = np.random.default_rng(0)
     ps = random_point_set(rng, 3)
     expected = np.average(ps.coords, axis=0, weights=ps.masses)
-    assert np.allclose(centroid(ps), expected)
+    assert np.allclose(ps.center, expected)
 
 
 def test_centroid_far_from_origin():
     # summing raw coordinates would place this centroid only to ~5e-9
     x = np.random.default_rng(0).normal(size=(10_000, 3)) + 1e6
     expected = x[0] + (x - x[0]).mean(axis=0)
-    assert np.abs(centroid(WeightedPointSet(x)) - expected).max() <= 4 * np.spacing(1e6)
+    assert np.abs(WeightedPointSet(x).center - expected).max() <= 4 * np.spacing(1e6)
 
 
 def _far_weighted_set(rng, n):
@@ -112,14 +112,14 @@ def test_centroid_residual_keeps_what_the_rounding_lost():
 # ---------------------------------------------------------------------------
 
 def test_inertia_operator_cells(cells):
-    op = inertia_operator(cells, centroid(cells)).entries
+    op = inertia_operator(cells, cells.center).entries
     assert op[0, 0] == pytest.approx(47.7937, rel=1e-5)
     assert op[1, 1] == pytest.approx(18.1021, rel=1e-5)
     assert op[0, 1] == pytest.approx(28.6318, rel=1e-5)
 
 
 def test_inertia_operator_forbes(forbes):
-    op = inertia_operator(forbes, centroid(forbes)).entries
+    op = inertia_operator(forbes, forbes.center).entries
     assert op[0, 0] == pytest.approx(530.78235, rel=1e-6)
     assert op[1, 1] == pytest.approx(145.93778, rel=1e-6)
     assert op[0, 1] == pytest.approx(277.54206, rel=1e-6)
@@ -129,7 +129,7 @@ def test_inertia_operator_shift_identity():
     # A(P) = A(C) + m (C-P)(C-P)^T, checked against direct summation
     rng = np.random.default_rng(1)
     ps = random_point_set(rng, 4)
-    c = centroid(ps)
+    c = ps.center
     p = rng.normal(size=4) * 3
     direct = np.zeros((4, 4))
     for point, mass in zip(ps.coords, ps.masses):
@@ -173,17 +173,36 @@ def test_one_block_sums_are_the_one_shot_expressions(n):
     a = SymmetricOperator((d * masses[:, None]).T @ d).entries
     assert ps.center.tobytes() == c.tobytes()
     assert ps.centered_inertia.entries.tobytes() == a.tobytes()
+    plane = Hyperplane(rng.normal(size=3), 1e6)
+    r = x @ plane.normal - plane.offset
+    assert hyperplanar_moment(ps, plane) == float(masses @ (r * r))
+    line = FlatSubspace(c, np.eye(3)[:, :1])
+    d = line.distances(x)
+    assert l_planar_moment(ps, line) == float(masses @ (d * d))
 
 
 def test_the_summary_allocates_no_n_by_k_array():
     ps = WeightedPointSet(np.random.default_rng(3).normal(size=(100_000, 3)) + 1e6)
+    plane = Hyperplane([1.0, 2.0, -1.0], 2e6)
+    line = FlatSubspace(np.full(3, 1e6), np.eye(3)[:, :1])
+    u = CoefficientVector([1e-6, 0.0, 0.0])
+    calls = {
+        "summary": lambda: ps.spectrum,
+        "hyperplanar_moment": lambda: hyperplanar_moment(ps, plane),
+        "l_planar_moment": lambda: l_planar_moment(ps, line),
+        "directional_moment": lambda: directional_moment(ps, plane, [0.0, 0.0, 1.0]),
+        "moment_of_coefficients": lambda: moment_of_coefficients(ps, u),
+    }
+    peaks = {}
     tracemalloc.start()
     try:
-        ps.spectrum
-        peak = tracemalloc.get_traced_memory()[1]
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < ps.coords.nbytes
+    assert all(peak < ps.coords.nbytes for peak in peaks.values()), peaks
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +210,8 @@ def test_the_summary_allocates_no_n_by_k_array():
 # ---------------------------------------------------------------------------
 
 def test_hyperplanar_moment_cells_best_line(cells):
-    eig = symmetric_eigen(inertia_operator(cells, centroid(cells)))
-    plane = Hyperplane.through(centroid(cells), eig.vectors[:, 0])
+    eig = symmetric_eigen(inertia_operator(cells, cells.center))
+    plane = Hyperplane.through(cells.center, eig.vectors[:, 0])
     assert hyperplanar_moment(cells, plane) == pytest.approx(0.69605, rel=1e-5)
 
 
@@ -202,6 +221,45 @@ def test_hyperplanar_moment_coplanar_zero():
     on_plane = pts - np.outer(plane.signed_distance(pts), plane.normal)
     ps = WeightedPointSet(on_plane)
     assert hyperplanar_moment(ps, plane) == pytest.approx(0.0, abs=1e-18)
+
+
+def _row_sum_reference(ps, flat):
+    """``(moment, bound)`` at 60 digits for the float ``flat`` as stored: the
+    moment summed over the rows, and ``(k + 1) eps sum_j m_j |r_j| s_j``, the
+    first-order rounding of a float row sum whose distance ``r_j`` cancels
+    terms of size ``s_j`` (|n_i x_i| and |d| for a hyperplane, |x - b| for
+    a flat)."""
+    with mp.workdps(60):
+        moment = bound = mp.mpf(0)
+        for x, m in zip(ps.coords.tolist(), ps.masses.tolist()):
+            if isinstance(flat, Hyperplane):
+                terms = [mp.mpf(a) * b for a, b in zip(flat.normal.tolist(), x)]
+                r, s = mp.fsum(terms) - flat.offset, mp.fsum(map(abs, terms)) + abs(flat.offset)
+            else:
+                diff = mp.matrix(x) - mp.matrix(flat.base_point.tolist())
+                basis = mp.matrix(flat.basis.tolist())
+                r, s = mp.norm(diff - basis * (basis.T * diff)), mp.norm(diff)
+            moment += m * r * r
+            bound += m * abs(r) * s
+        return moment, bound * (ps.dim + 1) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_near_zero_moments_are_row_sums(k, shift):
+    # thin sets, J_1 / J_k ~ 1e-10: the moment of the best plane read from the
+    # summary, n^T A(c) n, would be off by about eps J_k, 1e-6 of J_1; the
+    # row sums stay within the rounding of their own distances (at shift 0,
+    # about 1e-11 of the moment)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        spread = np.array([1.0] * (k - 1) + [1.2e-5])
+        ps = random_point_set(rng, k, n=200, spread=spread, shift=shift)
+        assert ps.spectrum.values[0] < 2e-10 * ps.spectrum.values[-1]
+        plane = best_fit_flat(ps, k - 1).flat
+        for moment, flat in [(hyperplanar_moment, plane), (l_planar_moment, plane.as_flat())]:
+            want, bound = _row_sum_reference(ps, flat)
+            assert abs(moment(ps, flat) - want) <= bound
 
 
 def test_hyperplanar_moment_equals_quadratic_form():
@@ -222,7 +280,7 @@ def test_hyperplanar_moment_equals_quadratic_form():
 def test_l_planar_moment_principal_flats():
     rng = np.random.default_rng(3)
     ps = random_point_set(rng, 4)
-    c = centroid(ps)
+    c = ps.center
     eig = symmetric_eigen(inertia_operator(ps, c))
     # coordinate flat spanned by axes (i1..il) leaves the complementary J's
     for axes in [(0,), (3,), (0, 1), (1, 3), (0, 2, 3)]:
@@ -277,14 +335,14 @@ def test_axial_moment_collinear_zero():
     base = np.array([0.5, -1.0, 2.0])
     ps = WeightedPointSet(base + np.linspace(-2, 3, 6)[:, None] * direction)
     line = FlatSubspace(base, direction[:, None])
-    assert axial_moment(ps, line) == pytest.approx(0.0, abs=1e-18)
+    assert l_planar_moment(ps, line) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_axial_moment_parallel_shift():
     # Huygens-Steiner for lines: I(shifted) = I(through C) + m d^2
     rng = np.random.default_rng(7)
     ps = random_point_set(rng, 3)
-    c = centroid(ps)
+    c = ps.center
     direction = random_unit_vector(rng, 3)
     offset = rng.normal(size=3)
     offset -= (offset @ direction) * direction
@@ -294,9 +352,9 @@ def test_axial_moment_parallel_shift():
         m * np.sum((p - c - offset - ((p - c - offset) @ direction) * direction) ** 2)
         for p, m in zip(ps.coords, ps.masses)
     )
-    expected = axial_moment(ps, line0) + ps.total_mass * offset @ offset
-    assert axial_moment(ps, line1) == pytest.approx(expected, rel=1e-9)
-    assert axial_moment(ps, line1) == pytest.approx(direct, rel=1e-12)
+    expected = l_planar_moment(ps, line0) + ps.total_mass * offset @ offset
+    assert l_planar_moment(ps, line1) == pytest.approx(expected, rel=1e-9)
+    assert l_planar_moment(ps, line1) == pytest.approx(direct, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -308,7 +366,7 @@ def test_axial_moment_parallel_shift():
 def test_huygens_steiner_hyperplanar(seed, k, dist):
     rng = np.random.default_rng(seed)
     ps = random_point_set(rng, k)
-    c = centroid(ps)
+    c = ps.center
     normal = random_unit_vector(rng, k)
     base = Hyperplane.through(c, normal)
     shifted = Hyperplane(normal, float(normal @ c) + dist)
@@ -322,7 +380,7 @@ def test_huygens_steiner_l_planar(seed, ell, dist):
     rng = np.random.default_rng(seed)
     k = 4
     ps = random_point_set(rng, k)
-    c = centroid(ps)
+    c = ps.center
     basis, _ = np.linalg.qr(rng.normal(size=(k, ell)))
     basis = basis[:, :ell]
     shift = rng.normal(size=k)
@@ -339,11 +397,11 @@ def test_axial_decomposition_3d():
     # principal hyperplanar moments
     rng = np.random.default_rng(8)
     ps = random_point_set(rng, 3)
-    c = centroid(ps)
+    c = ps.center
     eig = symmetric_eigen(inertia_operator(ps, c))
     for i, j, p in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         line = FlatSubspace(c, eig.vectors[:, i][:, None])
-        assert axial_moment(ps, line) == pytest.approx(
+        assert l_planar_moment(ps, line) == pytest.approx(
             eig.values[j] + eig.values[p], rel=1e-10
         )
 
@@ -353,11 +411,11 @@ def test_axial_decomposition_2d():
     # hyperplanar moment of the other axis
     rng = np.random.default_rng(13)
     ps = random_point_set(rng, 2)
-    c = centroid(ps)
+    c = ps.center
     eig = symmetric_eigen(inertia_operator(ps, c))
     for i, j in [(0, 1), (1, 0)]:
         line = FlatSubspace(c, eig.vectors[:, i][:, None])
-        assert axial_moment(ps, line) == pytest.approx(eig.values[j], rel=1e-10)
+        assert l_planar_moment(ps, line) == pytest.approx(eig.values[j], rel=1e-10)
 
 
 def test_l_planar_moment_hyperplane_case():
@@ -450,7 +508,7 @@ def _charpoly_roots(matrix):
 
 
 def test_symmetric_eigen_cells(cells):
-    eig = symmetric_eigen(inertia_operator(cells, centroid(cells)))
+    eig = symmetric_eigen(inertia_operator(cells, cells.center))
     assert eig.values[0] == pytest.approx(0.69605, rel=1e-5)
     assert eig.values[1] == pytest.approx(65.19978, rel=1e-6)
 

@@ -9,7 +9,6 @@ from confocalfit import (
     Ray,
     SymmetricOperator,
     WeightedPointSet,
-    axial_moment,
     build_pencil,
     constrained_fit,
     joachimsthal_2d,
@@ -62,9 +61,6 @@ INPUT_CHECKS = {
                               ValueError, "basis columns must be orthonormal"),
     "basis-nan": (lambda tmp: FlatSubspace(_ORIGIN, [[np.nan], [0.0], [0.0]]),
                   ValueError, "basis columns must be orthonormal"),
-    "axial-plane": (lambda tmp: axial_moment(
-                        WeightedPointSet(np.eye(3)), FlatSubspace(_ORIGIN, np.eye(3)[:, :2])),
-                    ValueError, "axial moment requires a one-dimensional flat"),
     "thread-samples": (lambda tmp: thread_slice([3.0, 2.0, 1.0], 0.5, 0),
                        ValueError, "n_samples must be positive"),
     "thread-foci-semiaxes": (lambda tmp: thread_foci([1.0, 2.0, 3.0], 0.5),

@@ -14,13 +14,12 @@ from confocalfit import (
     NoSolution,
     QuadricMember,
     WeightedPointSet,
-    axial_moment,
     build_pencil,
-    centroid,
     envelope_for_moment,
     hyperplanar_moment,
     inertia_operator,
     jacobi_coordinates,
+    l_planar_moment,
     symmetric_eigen,
     tangent_hyperplane,
     tangent_moment,
@@ -241,7 +240,7 @@ def test_jacobi_interlacing_random():
         ps = random_point_set(rng, k)
         pencil = build_pencil(ps)
         for _ in range(20):
-            point = centroid(ps) + rng.normal(size=k) * 5
+            point = ps.center + rng.normal(size=k) * 5
             jc = jacobi_coordinates(pencil, point)
             asc_poles = pencil.poles[::-1]
             assert jc.lambdas[0] <= asc_poles[0] + 1e-12
@@ -253,7 +252,7 @@ def test_jacobi_roots_solve_equation():
     rng = np.random.default_rng(24)
     ps = random_point_set(rng, 4)
     pencil = build_pencil(ps)
-    point = centroid(ps) + rng.normal(size=4)
+    point = ps.center + rng.normal(size=4)
     x = pencil.to_principal(point)
     jc = jacobi_coordinates(pencil, point)
     for lam in jc.lambdas:
@@ -358,7 +357,7 @@ def test_jacobi_duality_with_point_inertia():
         ps = random_point_set(rng, k)
         pencil = build_pencil(ps)
         for _ in range(10):
-            point = centroid(ps) + rng.normal(size=k) * 3
+            point = ps.center + rng.normal(size=k) * 3
             jc = jacobi_coordinates(pencil, point)
             mu = symmetric_eigen(inertia_operator(ps, point)).values
             mapped = 2 * pencil.principal_moments[0] - pencil.mass * jc.lambdas[::-1]
@@ -496,7 +495,7 @@ def test_planar_envelope_axial_identity():
         d1 = float(plane.signed_distance(foci[0][None, :])[0])
         d2 = float(plane.signed_distance(foci[1][None, :])[0])
         expected = i_x + pencil.mass * d1 * d2
-        assert axial_moment(ps, line) == pytest.approx(expected, rel=1e-9)
+        assert l_planar_moment(ps, line) == pytest.approx(expected, rel=1e-9)
 
 
 def test_any_line_through_a_focus_has_equal_moment():
@@ -509,7 +508,7 @@ def test_any_line_through_a_focus_has_equal_moment():
     moments = []
     for _ in range(12):
         direction = random_unit_vector(rng, 2)
-        moments.append(axial_moment(ps, FlatSubspace(focus, direction[:, None])))
+        moments.append(l_planar_moment(ps, FlatSubspace(focus, direction[:, None])))
     assert np.ptp(moments) <= 1e-9 * max(moments)
 
 

@@ -20,7 +20,6 @@ from confocalfit import (
     WeightedPointSet,
     best_fit_flat,
     build_pencil,
-    centroid,
     constrained_fit,
     directional_fit,
     directional_moment,
@@ -109,7 +108,7 @@ def test_best_fit_flat_moment_matches_direct():
 
 
 def test_best_fit_worst_line_cells(cells):
-    _, worst = restricted_best_fit_flat(cells, centroid(cells), 1)
+    _, worst = restricted_best_fit_flat(cells, cells.center, 1)
     slope, intercept = line_slope_intercept(worst.flat)
     assert slope == pytest.approx(-1.64493, rel=1e-4)
     assert intercept == pytest.approx(24.52689, rel=1e-4)
@@ -132,7 +131,7 @@ def test_restricted_pca_forbes(forbes):
 
 
 def test_restricted_pca_at_centroid_reduces_to_pca(cells):
-    res = restricted_pca(cells, centroid(cells))
+    res = restricted_pca(cells, cells.center)
     pencil = build_pencil(cells)
     assert np.allclose(res.moments, pencil.principal_moments)
     assert np.allclose(np.abs(res.directions.T @ pencil.frame), np.eye(2), atol=1e-12)
@@ -142,7 +141,7 @@ def test_restricted_pca_lambda_identity():
     rng = np.random.default_rng(42)
     ps = random_point_set(rng, 4)
     pencil = build_pencil(ps)
-    point = centroid(ps) + rng.normal(size=4) * 2
+    point = ps.center + rng.normal(size=4) * 2
     res = restricted_pca(ps, point)
     mapped = 2 * pencil.principal_moments[0] - pencil.mass * res.lambdas.lambdas[::-1]
     assert np.allclose(res.moments, mapped, rtol=1e-9)
@@ -153,7 +152,7 @@ def test_restricted_pca_directions_match_gradient_formula():
     rng = np.random.default_rng(43)
     ps = random_point_set(rng, 2)
     pencil = build_pencil(ps)
-    point = centroid(ps) + np.array([1.3, -2.1])
+    point = ps.center + np.array([1.3, -2.1])
     res = restricted_pca(ps, point)
     xt = pencil.to_principal(point)
     alpha, beta = pencil.poles
@@ -303,7 +302,7 @@ def test_restricted_fit_at_centroid_reproduces_unrestricted():
     ps = random_point_set(rng, 3)
     for ell in (1, 2):
         unrestricted = best_fit_flat(ps, ell)
-        best, _ = restricted_best_fit_flat(ps, centroid(ps), ell)
+        best, _ = restricted_best_fit_flat(ps, ps.center, ell)
         assert best.moment == pytest.approx(unrestricted.moment, rel=1e-10)
 
 
@@ -312,7 +311,7 @@ def test_restricted_fit_moment_identities():
     for k, ell in [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]:
         ps = random_point_set(rng, k)
         pencil = build_pencil(ps)
-        point = centroid(ps) + rng.normal(size=k) * 2
+        point = ps.center + rng.normal(size=k) * 2
         best, worst = restricted_best_fit_flat(ps, point, ell)
         for fit in (best, worst):
             flat = fit.flat.as_flat() if isinstance(fit.flat, Hyperplane) else fit.flat
@@ -362,7 +361,7 @@ def test_restricted_best_hyperplane_is_tangent_to_top_member():
     rng = np.random.default_rng(47)
     ps = random_point_set(rng, 3)
     pencil = build_pencil(ps)
-    point = centroid(ps) + rng.normal(size=3) * 2
+    point = ps.center + rng.normal(size=3) * 2
     best, worst = restricted_best_fit_flat(ps, point, 2)
     lam = jacobi_coordinates(pencil, point).lambdas
     for fit, lam_i in [(best, lam[-1]), (worst, lam[0])]:
@@ -376,7 +375,7 @@ def test_restricted_best_hyperplane_is_tangent_to_top_member():
 def test_restricted_best_beats_random_hyperplanes():
     rng = np.random.default_rng(48)
     ps = random_point_set(rng, 3)
-    point = centroid(ps) + rng.normal(size=3)
+    point = ps.center + rng.normal(size=3)
     best, worst = restricted_best_fit_flat(ps, point, 2)
     for _ in range(300):
         plane = Hyperplane.through(point, random_unit_vector(rng, 3))
@@ -427,7 +426,7 @@ def test_directional_fit_minimizes_directional_moment():
     for through in (None, "random"):
         ps = random_point_set(rng, 3)
         w = random_unit_vector(rng, 3)
-        anchor = centroid(ps) if through is None else centroid(ps) + rng.normal(size=3)
+        anchor = ps.center if through is None else ps.center + rng.normal(size=3)
         fit = directional_fit(ps, w, through=None if through is None else anchor)
         for _ in range(300):
             plane = Hyperplane.through(anchor, random_unit_vector(rng, 3))
@@ -446,7 +445,7 @@ def test_directional_fit_moment_matches_the_points():
         for distance in (None, 0.01, 1.0, 1e2, 1e4):
             through = None
             if distance is not None:
-                through = centroid(ps) + distance * random_unit_vector(rng, k)
+                through = ps.center + distance * random_unit_vector(rng, k)
             fit = directional_fit(ps, w, through=through)
             oracle = directional_moment(ps, fit.flat, w)
             assert fit.moment == pytest.approx(oracle, rel=1e-12, abs=0)
@@ -469,7 +468,7 @@ def test_directional_fit_crosses_concentration_ellipse_at_vertical_tangency():
     # where the ellipse tangent is vertical
     rng = np.random.default_rng(52)
     ps = random_point_set(rng, 2)
-    c = centroid(ps)
+    c = ps.center
     op = inertia_operator(ps, c).entries
     w = np.array([0.0, 1.0])
     fit = directional_fit(ps, w)
@@ -597,7 +596,7 @@ def test_point_hypothesis_cells(cells):
 
 def test_point_hypothesis_at_centroid_baseline(cells):
     cov = SymmetricOperator(np.eye(2))
-    report = point_hypothesis_test(cells, centroid(cells), cov)
+    report = point_hypothesis_test(cells, cells.center, cov)
     pencil = build_pencil(cells)
     lam_c = float(pencil.poles[0])
     n = cells.n_points
@@ -611,7 +610,7 @@ def test_point_hypothesis_matches_generalized_eigen_route():
     ps = random_point_set(rng, 3, unit_masses=True, shift=1.0)
     a = rng.normal(size=(3, 3)) * 0.2
     cov = SymmetricOperator(a @ a.T + np.eye(3) * 0.3)
-    point = centroid(ps) + rng.normal(size=3)
+    point = ps.center + rng.normal(size=3)
     report = point_hypothesis_test(ps, point, cov)
     n, k = ps.n_points, 3
     m_op = inertia_operator(ps, point).entries / n
@@ -626,10 +625,10 @@ def test_point_hypothesis_on_best_plane_equals_baseline():
     cov = SymmetricOperator(np.eye(3) * 0.5)
     fit = best_fit_flat(ps, 2)
     # project the centroid's neighbour onto the best plane
-    q = centroid(ps) + rng.normal(size=3)
+    q = ps.center + rng.normal(size=3)
     q -= (fit.flat.normal @ q - fit.flat.offset) * fit.flat.normal
     report = point_hypothesis_test(ps, q, cov)
-    base = point_hypothesis_test(ps, centroid(ps), cov)
+    base = point_hypothesis_test(ps, ps.center, cov)
     assert report.statistic == pytest.approx(base.statistic, rel=1e-8)
 
 
@@ -637,7 +636,7 @@ def test_point_hypothesis_scaling_invariance():
     # scalar error covariance: statistic invariant under joint rescaling
     rng = np.random.default_rng(55)
     ps = random_point_set(rng, 2, unit_masses=True)
-    point = centroid(ps) + np.array([0.7, -0.4])
+    point = ps.center + np.array([0.7, -0.4])
     r1 = point_hypothesis_test(ps, point, SymmetricOperator(np.eye(2) * 0.25))
     scaled = WeightedPointSet(ps.coords * 3.0, ps.masses)
     r2 = point_hypothesis_test(
@@ -699,7 +698,7 @@ def test_nested_f_test_matches_direct_formula():
     rng = np.random.default_rng(56)
     ps = random_point_set(rng, 2, unit_masses=True)
     w = random_unit_vector(rng, 2)
-    point = centroid(ps) + rng.normal(size=2)
+    point = ps.center + rng.normal(size=2)
     report = nested_f_test(ps, w, point)
     rss2 = directional_fit(ps, w).moment
     rss1 = directional_fit(ps, w, through=point).moment

@@ -1,5 +1,7 @@
 """Bounded-coefficient orthogonal regression and the dual pencil."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 
 from confocalfit import (
     CoefficientVector,
+    Hyperplane,
     WeightedPointSet,
     best_fit_flat,
     build_pencil,
-    centroid,
     constrained_fit,
     dual_quadric,
     hyperplanar_moment,
@@ -147,6 +149,16 @@ def test_moment_of_coefficients_is_hyperplanar_moment():
         assert moment_of_coefficients(ps, u) == pytest.approx(
             hyperplanar_moment(ps, u.hyperplane()), rel=1e-12
         )
+
+
+def test_moment_of_coefficients_at_extreme_scales(cells):
+    # u = base 2^j is the plane {<base, x> = 2^-j}; |u|^2 overflows from j = 513
+    base = np.array([0.05, -0.1])
+    for j in range(-500, 1001):
+        got = moment_of_coefficients(cells, CoefficientVector(np.ldexp(base, j)))
+        want = hyperplanar_moment(cells, Hyperplane(base, math.ldexp(1.0, -j)))
+        assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(32.3584314, rel=1e-9)  # the plane through 0
 
 
 def test_zero_coefficients_rejected():
@@ -316,7 +328,7 @@ def test_active_solution_misses_centroid():
     fit = constrained_fit(ps, "l2", bound=0.25 * np.linalg.norm(ustar))
     assert fit.active
     plane = fit.coefficients.hyperplane()
-    c = centroid(ps)
+    c = ps.center
     assert abs(float(plane.signed_distance(c[None, :])[0])) > 1e-6
 
 
