@@ -39,10 +39,10 @@ _RANK_DEFICIENT = "point set lies in a hyperplane within tolerance"
 SYMMETRY_TOL = 1e-12
 UNIT_TOL = 1e-12
 
-# Rows per block of every pass over the points (the finiteness check, the
-# centroid, the inertia operator, the moments): their temporaries stay at
-# _BLOCK x k, and adding the block sums in order keeps each rounding chain to
-# about _BLOCK + N / _BLOCK terms instead of N (blocked summation, as in
+# Rows per block of every sum over the points (the centroid, the inertia
+# operator, the moments): their temporaries stay at _BLOCK x k, and adding
+# the block sums in order keeps each rounding chain to about
+# _BLOCK + N / _BLOCK terms instead of N (blocked summation, as in
 # Chan, Golub & LeVeque 1979).
 _BLOCK = 4096
 
@@ -142,7 +142,7 @@ class WeightedPointSet:
             raise ValueError("need at least one point")
         if k < 2:
             raise UsageError("ambient dimension must be at least 2")
-        if _block_sum(n, lambda rows: np.count_nonzero(~np.isfinite(coords[rows]))):
+        if not np.all(np.isfinite(coords)):
             raise ValueError("coords contain non-finite entries")
         masses = _store(self, "masses", np.ones(n) if self.masses is None else self.masses)
         if masses.shape != (n,):

@@ -141,17 +141,14 @@ def test_moment_of_coefficients_cells_line(cells):
     assert moment_of_coefficients(cells, u) == pytest.approx(0.69605, abs=1e-4)
 
 
-def test_moment_of_coefficients_is_hyperplanar_moment():
+def test_moment_of_coefficients_is_hyperplanar_moment(cells):
+    # random u against the row sum  sum_j m_j (<u, P_j> - 1)^2 / |u|^2
     rng = np.random.default_rng(61)
     ps = random_point_set(rng, 3)
     for _ in range(10):
-        u = CoefficientVector(rng.normal(size=3))
-        assert moment_of_coefficients(ps, u) == pytest.approx(
-            hyperplanar_moment(ps, u.hyperplane()), rel=1e-12
-        )
-
-
-def test_moment_of_coefficients_at_extreme_scales(cells):
+        u = rng.normal(size=3)
+        want = ps.masses @ (ps.coords @ u - 1.0) ** 2 / (u @ u)
+        assert moment_of_coefficients(ps, CoefficientVector(u)) == pytest.approx(want, rel=1e-12)
     # u = base 2^j is the plane {<base, x> = 2^-j}; |u|^2 overflows from j = 513
     base = np.array([0.05, -0.1])
     for j in range(-500, 1001):
