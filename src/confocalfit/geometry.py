@@ -244,6 +244,8 @@ class SymmetricOperator:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("entries must be a square matrix")
+        if not np.isfinite(a).all():
+            raise ValueError("entries contain non-finite values")
         if np.abs(a - a.T).max() > SYMMETRY_TOL * np.abs(a).max():
             raise NotSymmetric("operator is not symmetric within tolerance")
         _store(self, "entries", 0.5 * (a + a.T))

@@ -39,6 +39,7 @@ from .errors import (
     PointNotOnQuadric,
     PointOutOfRange,
     RankDeficient,
+    UsageError,
 )
 from .geometry import (
     EigenDecomposition,
@@ -124,6 +125,8 @@ class ConfocalPencil:
     def member(self, lam: float) -> "QuadricMember":
         """The pencil member at parameter ``lam`` (must not sit on a pole)."""
         lam = float(lam)
+        if not math.isfinite(lam):
+            raise UsageError("member parameter must be finite")
         if np.any(np.abs(self.poles - lam) <= 1e-14 * float(np.abs(self.poles).max())):
             raise MemberOnPole(
                 "parameter coincides with a pole; that member is a coordinate hyperplane"
@@ -411,6 +414,8 @@ def envelope_for_moment(pencil: ConfocalPencil, j_pi: float):
     """
     J = pencil.principal_moments
     j_pi = float(j_pi)
+    if not math.isfinite(j_pi):
+        raise UsageError("moment level must be finite")
     tol = 1e-12 * max(float(J[-1]), abs(j_pi))
     hits = np.flatnonzero(np.abs(J - j_pi) <= tol)
     if hits.size:

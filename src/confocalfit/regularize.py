@@ -108,6 +108,8 @@ def dual_quadric(pencil: ConfocalPencil, j_pi: float) -> DualQuadric:
     """
     J = pencil.principal_moments
     j_pi = float(j_pi)
+    if not math.isfinite(j_pi):
+        raise UsageError("moment level must be finite")
     if j_pi < J[0] - 1e-12 * max(float(J[-1]), abs(j_pi)):
         raise NoEnvelope("no hyperplane attains a moment below J_1")
     sigma = (j_pi - J) / pencil.mass

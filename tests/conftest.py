@@ -41,6 +41,8 @@ FORBES_XY = np.array(
 )
 
 
+EPS = float(np.finfo(float).eps)
+
 # Unit changes that the worked examples must survive: every moment and
 # Jacobi coordinate scales by s^2, to rounding.
 SCALES = (1e-6, 1e3)

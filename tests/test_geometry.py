@@ -2,9 +2,7 @@
 
 import dataclasses
 import tracemalloc
-from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +39,8 @@ from confocalfit import (
 from confocalfit import geometry
 from confocalfit.errors import DirectionParallel, NotSymmetric
 
-from conftest import gram_moment, random_point_set, random_unit_vector
+import oracle
+from conftest import EPS, gram_moment, random_point_set, random_unit_vector
 
 
 # ---------------------------------------------------------------------------
@@ -85,26 +84,21 @@ def test_centroid_residual_keeps_what_the_rounding_lost():
     rng = np.random.default_rng(1)
     for n in (40, 3 * geometry._BLOCK + 17):
         ps = _far_weighted_set(rng, n)
-        masses = [Fraction(m) for m in ps.masses]
-        exact = [
-            sum(m * Fraction(v) for m, v in zip(masses, col)) / sum(masses)
-            for col in ps.coords.T.tolist()
-        ]
+        exact = oracle.centroid(ps.coords, ps.masses)
         point = ps.center + [1.0, -0.5, 0.25]
         got = ps.offset_from_center(point)
         for i in range(3):
-            assert abs(Fraction(ps.center[i]) + Fraction(ps.center_residual[i]) - exact[i]) <= 1e-14
-            assert abs(Fraction(got[i]) - (Fraction(point[i]) - exact[i])) <= 1e-14
+            assert abs(exact[i] - float(ps.center[i]) - float(ps.center_residual[i])) <= 1e-14
+            assert abs(float(point[i]) - exact[i] - float(got[i])) <= 1e-14
         assert np.array_equal(ps.offset_from_center(np.stack([point, point])), [got, got])
         # the pencil's frame change takes the residual in both ways: a point
         # placed from principal coordinates is rounded once, at the end
         pencil = build_pencil(ps)
-        frame = [[Fraction(f) for f in row] for row in pencil.frame]
         for x in rng.normal(size=(8, 3)):
             placed = pencil.from_principal(x)
+            want = oracle.from_principal(exact, pencil.frame, x)
             for i in range(3):
-                want = exact[i] + sum(f * Fraction(v) for f, v in zip(frame[i], x))
-                assert abs(Fraction(placed[i]) - want) <= abs(np.spacing(placed[i])) / 2 + 1e-14
+                assert abs(want[i] - float(placed[i])) <= abs(np.spacing(placed[i])) / 2 + 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -140,25 +134,16 @@ def test_inertia_operator_shift_identity():
 
 
 def test_blocked_inertia_matches_an_exact_reference():
-    # A(c) = S2 - S1 S1^T / S0 in exact sums, on three blocks plus 17 rows far
-    # from the origin.  The bound on each entry is 4e-15 sqrt(A_ii A_jj): on
-    # seeds 2-7 of this set the blocked sums read at most 2.0e-15 of that
-    # scale (9.4e-16 on seed 2), one sum over all rows at most 4.1e-15
+    # A(c) from the oracle, on three blocks plus 17 rows far from the origin.  The bound
+    # on each entry is 4e-15 sqrt(A_ii A_jj): on seeds 2-7 of this set the blocked sums
+    # read at most 2.0e-15 of that scale (9.4e-16 on seed 2), one sum over all rows at most 4.1e-15
     ps = _far_weighted_set(np.random.default_rng(2), 3 * geometry._BLOCK + 17)
-    m = [Fraction(v) for v in ps.masses.tolist()]
-    cols = [[Fraction(v) for v in col] for col in ps.coords.T.tolist()]
-    s0 = sum(m)
-    s1 = [sum(a * b for a, b in zip(m, col)) for col in cols]
     got = ps.centered_inertia.entries
-    exact = [
-        [sum(a * b * d for a, b, d in zip(m, cols[i], cols[j])) - s1[i] * s1[j] / s0
-         for j in range(3)]
-        for i in range(3)
-    ]
+    exact = oracle.scatter(ps.coords, ps.masses, oracle.centroid(ps.coords, ps.masses))
     for i in range(3):
         for j in range(3):
-            scale = float(exact[i][i] * exact[j][j]) ** 0.5
-            assert abs(float(Fraction(got[i, j]) - exact[i][j])) <= 4e-15 * scale
+            scale = float(exact[i, i] * exact[j, j]) ** 0.5
+            assert abs(float(exact[i, j] - float(got[i, j]))) <= 4e-15 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2, 100, geometry._BLOCK])
@@ -223,27 +208,6 @@ def test_hyperplanar_moment_coplanar_zero():
     assert hyperplanar_moment(ps, plane) == pytest.approx(0.0, abs=1e-18)
 
 
-def _row_sum_reference(ps, flat):
-    """``(moment, bound)`` at 60 digits for the float ``flat`` as stored: the
-    moment summed over the rows, and ``(k + 1) eps sum_j m_j |r_j| s_j``, the
-    first-order rounding of a float row sum whose distance ``r_j`` cancels
-    terms of size ``s_j`` (|n_i x_i| and |d| for a hyperplane, |x - b| for
-    a flat)."""
-    with mp.workdps(60):
-        moment = bound = mp.mpf(0)
-        for x, m in zip(ps.coords.tolist(), ps.masses.tolist()):
-            if isinstance(flat, Hyperplane):
-                terms = [mp.mpf(a) * b for a, b in zip(flat.normal.tolist(), x)]
-                r, s = mp.fsum(terms) - flat.offset, mp.fsum(map(abs, terms)) + abs(flat.offset)
-            else:
-                diff = mp.matrix(x) - mp.matrix(flat.base_point.tolist())
-                basis = mp.matrix(flat.basis.tolist())
-                r, s = mp.norm(diff - basis * (basis.T * diff)), mp.norm(diff)
-            moment += m * r * r
-            bound += m * abs(r) * s
-        return moment, bound * (ps.dim + 1) * np.finfo(float).eps
-
-
 @pytest.mark.parametrize("shift", [0.0, 1e3])
 @pytest.mark.parametrize("k", [2, 3])
 def test_near_zero_moments_are_row_sums(k, shift):
@@ -258,8 +222,8 @@ def test_near_zero_moments_are_row_sums(k, shift):
         assert ps.spectrum.values[0] < 2e-10 * ps.spectrum.values[-1]
         plane = best_fit_flat(ps, k - 1).flat
         for moment, flat in [(hyperplanar_moment, plane), (l_planar_moment, plane.as_flat())]:
-            want, bound = _row_sum_reference(ps, flat)
-            assert abs(moment(ps, flat) - want) <= bound
+            want, spread = oracle.row_moment(ps.coords, ps.masses, flat)
+            assert abs(moment(ps, flat) - want) <= (k + 1) * EPS * spread
 
 
 def test_hyperplanar_moment_equals_quadratic_form():

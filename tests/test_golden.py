@@ -4,8 +4,9 @@ Each command runs through ``main`` in a scratch directory holding a copy of
 ``data/``, so the dataset paths in the reports read as in the README.  The
 ``plot`` command also writes its SVG, which is compared too, and the printed
 output of ``scripts/run_worked_examples.py`` is pinned as
-``worked_examples.txt``.  When a change moves a digit on purpose, regenerate
-the files with
+``worked_examples.txt``.  The ``pencil`` block of each report is also checked
+against the exact pencil of its CSV rows.  When a change moves a digit on
+purpose, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,6 +14,8 @@ and list the moved digit, with a high-precision reference, in CHANGES.md.
 """
 
 import contextlib
+import csv
+import json
 import os
 import shutil
 import subprocess
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from confocalfit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +96,42 @@ def test_readme_command_matches_golden(name, tmp_path):
 
 def test_worked_examples_match_golden():
     assert _worked_examples() == (GOLDEN / "worked_examples.txt").read_bytes()
+
+
+def _rounds_from(printed: float, lo, hi) -> bool:
+    """``printed`` is the 9-significant-digit rounding of some value in [lo, hi]."""
+    return float(f"{float(lo):.9g}") <= printed <= float(f"{float(hi):.9g}")
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(COMMANDS) if '"pencil"' in (GOLDEN / f"{n}.json").read_text()]
+)
+def test_pencil_block_rounds_the_exact_pencil(name, tmp_path):
+    # the centre, principal moments, poles, mass and frame recomputed from the
+    # CSV's rows by the oracle: each printed value must round some value
+    # within tau |ref| of the reference (tau absolute for the unit frame)
+    tau = 1e-13
+    report = json.loads(_render(name, tmp_path)[f"{name}.json"])
+    argv = COMMANDS[name]
+    with open(ROOT / report["dataset"]["path"], newline="", encoding="utf-8") as f:
+        header, *cells = csv.reader(f)
+    cols = argv[argv.index("--cols") + 1].split(",") if "--cols" in argv else header
+    rows = [[float(row[header.index(c)]) for c in cols] for row in cells]
+    masses = [1.0] * len(rows)
+    center = oracle.centroid(rows, masses)
+    moments, axes = oracle.eigen(oracle.scatter(rows, masses, center))
+    mass = sum(masses)
+    poles = [(2 * moments[0] - j) / mass for j in moments]
+    block = report["pencil"]
+    for key, refs in (("center", center), ("principal_moments", moments), ("poles", poles)):
+        for got, ref in zip(block[key], refs, strict=True):
+            assert _rounds_from(got, ref - tau * abs(ref), ref + tau * abs(ref)), (key, got)
+    assert block["mass"] == mass
+    for j, axis in enumerate(axes):
+        # the report's sign: the first non-negligible component positive
+        sign = 1 if next(v for v in axis if abs(v) > 1e-12) > 0 else -1
+        for row, ref in zip(block["frame"], axis, strict=True):
+            assert _rounds_from(row[j], sign * ref - tau, sign * ref + tau), ("frame", j, row[j])
 
 
 if __name__ == "__main__":

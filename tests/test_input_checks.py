@@ -11,6 +11,8 @@ from confocalfit import (
     WeightedPointSet,
     build_pencil,
     constrained_fit,
+    dual_quadric,
+    envelope_for_moment,
     joachimsthal_2d,
     parse_dataset,
     restricted_pca,
@@ -49,6 +51,10 @@ INPUT_CHECKS = {
                       ValueError, "masses must be a length-N vector"),
     "operator-not-square": (lambda tmp: SymmetricOperator(np.ones((2, 3))),
                             ValueError, "entries must be a square matrix"),
+    "operator-nan": (lambda tmp: SymmetricOperator([[np.nan, 0.0], [0.0, 1.0]]),
+                     ValueError, "entries contain non-finite values"),
+    "operator-inf": (lambda tmp: SymmetricOperator([[np.inf, 0.0], [0.0, 1.0]]),
+                     ValueError, "entries contain non-finite values"),
     "zero-normal": (lambda tmp: Hyperplane([0.0, 0.0], 1.0),
                     ValueError, "hyperplane normal must be nonzero"),
     "normal-non-finite": (lambda tmp: Hyperplane([2.0, np.nan, 1.0], 1.0),
@@ -71,6 +77,16 @@ INPUT_CHECKS = {
                   UsageError, "norm must be 'l1' or 'l2'"),
     "joachimsthal-3d": (lambda tmp: joachimsthal_2d(_SOLID.member(-3.0), Ray(_ORIGIN, _AXES[0])),
                         ValueError, "joachimsthal_2d requires a planar member"),
+    "member-nan": (lambda tmp: _SOLID.member(np.nan),
+                   UsageError, "member parameter must be finite"),
+    "member-inf": (lambda tmp: _SOLID.member(-np.inf),
+                   UsageError, "member parameter must be finite"),
+    "envelope-nan": (lambda tmp: envelope_for_moment(_SOLID, np.nan),
+                     UsageError, "moment level must be finite"),
+    "envelope-inf": (lambda tmp: envelope_for_moment(_SOLID, np.inf),
+                     UsageError, "moment level must be finite"),
+    "dual-quadric-nan": (lambda tmp: dual_quadric(_SOLID, np.nan),
+                         UsageError, "moment level must be finite"),
     "empty-cell": (lambda tmp: _csv(tmp, "x,y\n1,2\n3,\n"),
                    ParseError, "row 3, column 'y': empty cell"),
     "empty-file": (lambda tmp: _csv(tmp, ""), EmptyDataset, "is empty"),

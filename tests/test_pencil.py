@@ -1,6 +1,5 @@
 """Confocal pencil construction, Jacobi coordinates, envelopes, threads."""
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -35,15 +34,16 @@ from confocalfit.errors import (
 )
 from confocalfit.pencil import COORD_TOL
 
+import oracle
 from conftest import (
     CELLS_XY,
+    EPS,
     FORBES_XY,
     SCALES,
     assert_scaled,
     random_point_set,
     random_unit_vector,
 )
-from test_secular import EPS, reference
 
 
 def pencil_with_poles(alpha, beta):
@@ -300,14 +300,14 @@ def test_deflation_keeps_every_coordinate_in_its_place(k, offset, n_zero):
     # the others: the roots of the deflated problem, as the solver saw it
     live = [i for i in range(k) if i not in zero]
     xs = pencil.to_principal(point)
-    exact, exact_diff, _ = reference(xs[live] ** 2, poles[live])
+    exact, exact_diff, _ = oracle.secular(xs[live] ** 2, poles[live])
     top = float(np.abs(poles).max())
     for j, c in enumerate(np.flatnonzero(~jc.degenerate)):
         want = exact[j]
-        assert float(abs(mp.mpf(float(jc.lambdas[c])) - want)) <= 5e-16 * max(top, abs(float(want)))
+        assert float(abs(want - float(jc.lambdas[c]))) <= 5e-16 * max(top, abs(float(want)))
         # its normal is x_i / (p_i - lam) over the live axes, zero on the others
         assert not jc.normals[zero, c].any()
-        v = np.array([float(mp.mpf(float(xs[i])) / exact_diff[r][j]) for r, i in enumerate(live)])
+        v = np.array([float(float(xs[i]) / exact_diff[r][j]) for r, i in enumerate(live)])
         v /= np.linalg.norm(v)
         n = jc.normals[live, c]
         assert np.abs(n - np.copysign(1.0, n @ v) * v).max() <= 4 * k * EPS

@@ -2,12 +2,9 @@
 
 import math
 import sys
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import dataclasses
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -43,6 +40,7 @@ from confocalfit.errors import (
     RankDeficient,
 )
 
+import oracle
 from conftest import (
     CELLS_XY,
     FORBES_XY,
@@ -181,20 +179,13 @@ def test_restricted_pca_ties_flagged():
 
 
 def test_restricted_pca_far_from_the_data(cells):
-    # Reference: at P = (300000, 200000) the inertia operator A(P) =
-    # sum_j (r_j - P)(r_j - P)^T of the five raw points is summed exactly in
-    # rationals; its smallest eigenvalue 2 det / (tr + sqrt(tr^2 - 4 det))
-    # (no cancellation) at 60 digits is 0.808619028292259227707...  Its
-    # entries are ~5e11, so eigh of a floating-point A(P) is off by ~3e-5.
-    point = (300000, 200000)
-    d = [[Fraction(v) - p for v, p in zip(row, point)] for row in CELLS_XY.tolist()]
-    a, b, c = (sum(u[i] * u[j] for u in d) for i, j in ((0, 0), (0, 1), (1, 1)))
-    with localcontext() as ctx:
-        ctx.prec = 60
-        tr, det = (Decimal(q.numerator) / q.denominator for q in (a + c, a * c - b * b))
-        smallest = 2 * det / (tr + (tr * tr - 4 * det).sqrt())
+    # the smallest eigenvalue of A(P) at P = (300000, 200000), summed from the
+    # five raw points, is 0.808619028292259227707...  Its entries are ~5e11,
+    # so eigh of a floating-point A(P) is off by ~3e-5.
+    point = [300000.0, 200000.0]
+    smallest = oracle.eigen(oracle.scatter(cells.coords, cells.masses, point))[0][0]
     assert abs(float(smallest) / 0.808619028292259 - 1) <= 1e-15
-    res = restricted_pca(cells, [300000.0, 200000.0])
+    res = restricted_pca(cells, point)
     assert res.moments[0] == pytest.approx(0.808619028292259, rel=1e-12)
 
 
@@ -507,23 +498,6 @@ def test_f_upper_tail_matches_large_df_limit():
         assert finite == pytest.approx(f_upper_tail(x, 3, math.inf), abs=1e-6)
 
 
-def _tail_reference(x: float, df1: int, df2: float):
-    """P(F_{df1, df2} > x), or the chi-square limit, at 50 digits (mpmath)."""
-    import mpmath as mp
-
-    with mp.workdps(50):
-        x, d1 = mp.mpf(x), mp.mpf(df1)
-        if math.isinf(df2):
-            return mp.gammainc(d1 / 2, d1 * x / 2, mp.inf, regularized=True)
-        d2 = mp.mpf(df2)
-        a, b, z = d2 / 2, d1 / 2, d2 / (d2 + d1 * x)
-        try:
-            return mp.betainc(a, b, 0, z, regularized=True)
-        except mp.libmp.NoConvergence:  # deep tails at large df2: positive-term series
-            series = mp.hyp2f1(a + b, 1, a + 1, z, maxterms=10**6)
-            return z**a * (1 - z) ** b * series / (a * mp.beta(a, b))
-
-
 def _tail_tolerance(df2: float) -> float:
     if math.isinf(df2) or df2 <= 1e3:
         return 1e-12
@@ -531,7 +505,7 @@ def _tail_tolerance(df2: float) -> float:
 
 
 def _assert_tail_matches_reference(x, df1, df2):
-    ref = _tail_reference(x, df1, df2)
+    ref = oracle.f_tail(x, df1, df2)
     got = f_upper_tail(x, df1, df2)
     if ref < sys.float_info.min:  # below the normal range: only underflow is checked
         assert 0.0 <= got < 1e-300, (x, df1, df2, got)
@@ -778,29 +752,13 @@ def _far_set(unit_masses: bool) -> WeightedPointSet:
     return WeightedPointSet(base.coords + [1e6, -2e6, 3e6], base.masses)
 
 
-def _scatter_at(ps: WeightedPointSet, point) -> mp.matrix:
-    """A(P) summed from the raw points in the working precision."""
-    k = ps.dim
-    a = mp.zeros(k, k)
-    for x, m in zip(ps.coords.tolist(), ps.masses.tolist()):
-        d = [mp.mpf(xi) - mp.mpf(pi) for xi, pi in zip(x, point)]
-        for i in range(k):
-            for j in range(k):
-                a[i, j] += m * d[i] * d[j]
-    return a
-
-
 def test_far_directional_moment_matches_a_50_digit_reference():
     ps = _far_set(unit_masses=False)
     w = [0.0, 1.0, 1.0]
     point = ps.center + [1.0, 0.0, 0.0]
     fit = directional_fit(ps, w, through=point)
-    with mp.workdps(50):
-        # min over n of n^T A n / (w.n)^2 is |w|^2 / (w^T A^-1 w)
-        wv = mp.matrix(w)
-        want = (wv.T * wv)[0] / (wv.T * mp.lu_solve(_scatter_at(ps, point), wv))[0]
-        error = float(abs(fit.moment - want) / want)
-    assert error <= 1e-15
+    want, _ = oracle.directional(ps.coords, ps.masses, point, w)
+    assert float(abs(fit.moment - want) / want) <= 1e-15
 
 
 @pytest.mark.parametrize("k", (2, 3, 5))
@@ -816,12 +774,8 @@ def test_far_directional_fit_matches_a_60_digit_reference(k):
             u = random_unit_vector(rng, k)
         point = ps.center + distance * u
         fit = directional_fit(ps, w, through=point)
-        with mp.workdps(60):
-            wv = mp.matrix(w.tolist())
-            wv /= mp.norm(wv)
-            x = mp.lu_solve(_scatter_at(ps, point.tolist()), wv)
-            moment = float(1 / (wv.T * x)[0])
-            normal = np.array([float(v) for v in x / mp.norm(x)])
+        moment, normal = oracle.directional(ps.coords, ps.masses, point, w)
+        moment, normal = float(moment), np.array(normal, dtype=float)
         normal *= np.sign(normal @ fit.flat.normal)
         assert np.abs(fit.flat.normal - normal).max() <= 1e-14, distance
         assert abs(fit.moment - moment) <= 1e-14 * moment, distance
@@ -831,14 +785,9 @@ def test_far_point_test_statistic_matches_a_50_digit_reference():
     ps = _far_set(unit_masses=True)
     point = ps.center + [0.5, -0.3, 0.8]
     report = point_hypothesis_test(ps, point, _COV)
-    with mp.workdps(50):
-        # the statistic is the smallest eigenvalue of W A(P) W over N - k + 1
-        vals, vecs = mp.eigsy(mp.matrix(_COV.entries.tolist()))
-        white = vecs * mp.diag([1 / mp.sqrt(v) for v in vals]) * vecs.T
-        smallest = min(mp.eigsy(white * _scatter_at(ps, point) * white)[0])
-        want = smallest / report.df1
-        error = float(abs(report.statistic - want) / want)
-    assert error <= 1e-14
+    # the statistic is the smallest eigenvalue of W A(P) W over N - k + 1
+    want = oracle.whitened_minimum(ps.coords, ps.masses, point, _COV.entries) / report.df1
+    assert float(abs(report.statistic - want) / want) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
-"""The secular solver behind Jacobi coordinates, against a high-precision reference.
+"""The secular solver behind Jacobi coordinates, against the oracle's roots.
 
-The roots of sum_i z_i/(p_i - lam) = 1 are taken in mpmath from the exact
-float inputs as eigenvalues, apart from the production solver's pole
-offsets and rational steps.
+The oracle takes them from the exact float inputs as eigenvalues, apart from
+the production solver's pole offsets and rational steps.
 """
 
 import itertools
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,7 +19,8 @@ from confocalfit.pencil import (
     jacobi_coordinates,
 )
 
-EPS = float(np.finfo(float).eps)
+import oracle
+from conftest import EPS
 
 SCALES = (1e-6, 1e-2, 1.0, 1e4)
 SPREADS = (1e-4, 1e-2, 1.0, 1e2, 1e4)  # query coordinates, in units of the pole gaps
@@ -46,43 +45,21 @@ def secular_problem(k, scale, n):
     return x**2, poles
 
 
-def reference(z, poles):
-    """Ascending roots, the differences p_i - lam_j, and each root's rounding
-    radius (sum_i |t_i| + 1) / g' with t_i = z_i/(p_i - lam): the distance
-    over which rounding each term once moves the root.
-
-    The roots are the eigenvalues of diag(p) - x x^T (Golub 1973), taken at
-    80 digits: a root within 1e-40 of a pole of size 1 still has its
-    difference to that pole to 40 digits.
-    """
-    with mp.workdps(80):
-        x = mp.matrix([mp.sqrt(mp.mpf(float(v))) for v in z])
-        p = [mp.mpf(float(v)) for v in poles]
-        roots = sorted(mp.eigsy(mp.diag(p) - x * x.T, eigvals_only=True))
-        radii = []
-        for lam in roots:
-            terms = [xi**2 / (pi - lam) for xi, pi in zip(x, p)]
-            slope = mp.fsum(t / (pi - lam) for t, pi in zip(terms, p))
-            radii.append((mp.fsum(abs(t) for t in terms) + 1) / slope)
-        diff = [[pi - lam for lam in roots] for pi in p]
-    return roots, diff, radii
-
-
 @pytest.mark.parametrize("k, scale", itertools.product((2, 3, 6), SCALES))
 def test_roots_match_an_80_digit_reference(k, scale):
     for n in range(10):
         z, poles = secular_problem(k, scale, n)
         roots, diff = _secular_roots(z, poles)
-        exact, exact_diff, radii = reference(z, poles)
+        exact, exact_diff, radii = oracle.secular(z, poles)
         top = float(np.abs(poles).max())
         for j, (got, want) in enumerate(zip(roots, exact)):
-            error = float(abs(mp.mpf(float(got)) - want))
+            error = float(abs(want - float(got)))
             assert error <= 5e-16 * max(top, abs(float(want))), (n, j)
         # every p_i - lam_j to a few ulps of itself, or of the root's
         # rounding radius where the terms of g cancel
         for i, j in itertools.product(range(k), range(k)):
             want = exact_diff[i][j]
-            error = float(abs(mp.mpf(float(diff[i, j])) - want))
+            error = float(abs(want - float(diff[i, j])))
             assert error <= 4 * EPS * float(abs(want) + radii[j]), (n, i, j)
 
 
